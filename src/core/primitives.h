@@ -36,8 +36,10 @@ class StampedDistances {
     ++epoch_;
   }
 
-  /// Number of nodes the map can address without reallocating.
-  size_t capacity() const { return stamp_.size(); }
+  /// Number of nodes the map can address without reallocating: the
+  /// allocated capacity, which grows geometrically, so a bound creeping
+  /// up by one per Reset (fresh point ids) reallocates only rarely.
+  size_t capacity() const { return stamp_.capacity(); }
 
   bool Has(NodeId n) const { return stamp_[n] == epoch_; }
   Weight Get(NodeId n) const { return Has(n) ? value_[n] : kInfinity; }
@@ -64,8 +66,9 @@ class StampedSet {
     ++epoch_;
   }
 
-  /// Number of nodes the set can address without reallocating.
-  size_t capacity() const { return stamp_.size(); }
+  /// Number of nodes the set can address without reallocating (the
+  /// allocated capacity, as StampedDistances::capacity()).
+  size_t capacity() const { return stamp_.capacity(); }
 
   bool Contains(NodeId n) const { return stamp_[n] == epoch_; }
   void Insert(NodeId n) { stamp_[n] = epoch_; }

@@ -512,6 +512,59 @@ Result<Weight> QueryViaStore(const LabelStore& labels, NodeId u, NodeId v,
   return MergeQuery(lu, lv);
 }
 
+Result<std::span<const HubEntry>> VirtualLabel(
+    const LabelStore& labels, std::span<const NodeId> nodes,
+    std::span<const Weight> offsets, LabelCursor& cursor,
+    VirtualLabelBuffers& buffers) {
+  GRNN_DCHECK(offsets.empty() || offsets.size() == nodes.size());
+  if (nodes.size() == 1 && (offsets.empty() || offsets[0] == 0)) {
+    return labels.Scan(nodes[0], cursor);
+  }
+  std::vector<HubEntry>& copies = buffers.copies_;
+  std::vector<VirtualLabelBuffers::Head>& heads = buffers.heads_;
+  copies.clear();
+  heads.clear();
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
+                          labels.Scan(nodes[i], cursor));
+    const Weight offset = offsets.empty() ? Weight{0} : offsets[i];
+    const size_t begin = copies.size();
+    for (const HubEntry& e : label) {
+      copies.push_back(HubEntry{e.hub, offset + e.dist});
+    }
+    if (copies.size() > begin) {
+      heads.push_back({begin, copies.size()});
+    }
+  }
+
+  // Min-heap of the source heads by their next hub: each step takes the
+  // smallest pending hub, folds it into the output, and advances its
+  // source. Sources tied on a hub pop back to back, in any order —
+  // min() does not care.
+  const auto later = [&copies](const auto& a, const auto& b) {
+    return copies[a.next].hub > copies[b.next].hub;
+  };
+  std::vector<HubEntry>& merged = buffers.merged_;
+  merged.clear();
+  std::make_heap(heads.begin(), heads.end(), later);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    VirtualLabelBuffers::Head& head = heads.back();
+    const HubEntry& e = copies[head.next];
+    if (!merged.empty() && merged.back().hub == e.hub) {
+      merged.back().dist = std::min(merged.back().dist, e.dist);
+    } else {
+      merged.push_back(e);
+    }
+    if (++head.next < head.end) {
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+    }
+  }
+  return std::span<const HubEntry>(merged);
+}
+
 Weight HubLabelIndex::Query(NodeId u, NodeId v) const {
   GRNN_DCHECK(u < num_nodes());
   GRNN_DCHECK(v < num_nodes());

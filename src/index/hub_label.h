@@ -129,6 +129,53 @@ class LabelStore {
 Result<Weight> QueryViaStore(const LabelStore& labels, NodeId u, NodeId v,
                              LabelCursor& cu, LabelCursor& cv);
 
+/// \brief Reusable merge buffers of VirtualLabel (workspace-growth
+/// accounting through capacity()). Single-owner mutable state.
+class VirtualLabelBuffers {
+ public:
+  /// Element capacity of every buffer.
+  size_t capacity() const {
+    return copies_.capacity() + heads_.capacity() + merged_.capacity();
+  }
+
+ private:
+  friend Result<std::span<const HubEntry>> VirtualLabel(
+      const LabelStore& labels, std::span<const NodeId> nodes,
+      std::span<const Weight> offsets, LabelCursor& cursor,
+      VirtualLabelBuffers& buffers);
+
+  /// Unread slice [next, end) of one source label inside copies_.
+  struct Head {
+    size_t next = 0;
+    size_t end = 0;
+  };
+
+  std::vector<HubEntry> copies_;  // offset source labels, back to back
+  std::vector<Head> heads_;       // k-way merge heap, keyed by next hub
+  std::vector<HubEntry> merged_;  // the virtual label
+};
+
+/// The VIRTUAL label of a query standing at distance `offsets[i]` from
+/// each of `nodes[i]`: the hub-sorted list of
+/// (h, min_i offsets[i] + d(nodes[i], h)) over the union of the nodes'
+/// labels, so d(query, x) = min over its common hubs h with x of
+/// dist + d(h, x) — one entry per hub however many nodes share it.
+/// Empty `offsets` means all-zero offsets (a plain node set: a route).
+///
+/// A single zero-offset node returns its Scan span zero-copy. Otherwise
+/// every source label is copied (offset) before the next Scan — a
+/// stored label's span dies with the next scan through `cursor` — and
+/// the copies are k-way merged in O(S log m) for S entries over m
+/// nodes. The span stays valid until the next call with the same
+/// `cursor` or `buffers`, or a Scan/Reset of `cursor`.
+///
+/// Taking the minimum before adding a further distance b is bit-exact:
+/// IEEE rounding is monotone, so fl(min_i a_i + b) = min_i fl(a_i + b).
+Result<std::span<const HubEntry>> VirtualLabel(
+    const LabelStore& labels, std::span<const NodeId> nodes,
+    std::span<const Weight> offsets, LabelCursor& cursor,
+    VirtualLabelBuffers& buffers);
+
 /// \brief In-memory hub-label index: CSR label arrays, each node's
 /// entries sorted by hub id.
 class HubLabelIndex final : public LabelStore {

@@ -51,6 +51,58 @@ void PublishRuns(std::vector<HubPointIndex::Run>& runs,
   }
 }
 
+/// Fills one run per hub from one occurrence label per live point:
+/// `occurrences(p, cursor, buffers)` yields p's hub-sorted (h, d(h, p))
+/// list and `host(p)` the node its entries record. A pool fans the
+/// label scans out (per-worker cursors and buffers; stores are safe for
+/// concurrent reads); the scatter into runs stays serial in live-point
+/// order, so the runs fill exactly as a serial build's would.
+template <typename Occurrences, typename Host>
+Status ScatterRuns(const std::vector<PointId>& live, Occurrences occurrences,
+                   Host host, common::ThreadPool* pool,
+                   std::vector<HubPointIndex::Run>& runs,
+                   size_t* num_entries) {
+  if (pool != nullptr && pool->num_threads() > 1 && live.size() > 1) {
+    const size_t workers = static_cast<size_t>(pool->num_threads());
+    std::vector<LabelCursor> cursors(workers);
+    std::vector<VirtualLabelBuffers> buffers(workers);
+    std::vector<std::vector<HubEntry>> lists(live.size());
+    std::vector<Status> errors(live.size(), Status::OK());
+    pool->ParallelFor(live.size(), [&](int worker, size_t i) {
+      const size_t w = static_cast<size_t>(worker);
+      auto list = occurrences(live[i], cursors[w], buffers[w]);
+      if (!list.ok()) {
+        errors[i] = std::move(list).status();
+        return;
+      }
+      lists[i].assign(list->begin(), list->end());
+    });
+    for (size_t i = 0; i < live.size(); ++i) {
+      GRNN_RETURN_NOT_OK(errors[i]);
+    }
+    for (size_t i = 0; i < live.size(); ++i) {
+      const NodeId node = host(live[i]);
+      for (const HubEntry& e : lists[i]) {
+        runs[e.hub].push_back(HubPointIndex::Entry{e.dist, live[i], node});
+      }
+      *num_entries += lists[i].size();
+    }
+    return Status::OK();
+  }
+  LabelCursor cursor;
+  VirtualLabelBuffers buffers;
+  for (PointId p : live) {
+    GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> list,
+                          occurrences(p, cursor, buffers));
+    const NodeId node = host(p);
+    for (const HubEntry& e : list) {
+      runs[e.hub].push_back(HubPointIndex::Entry{e.dist, p, node});
+    }
+    *num_entries += list.size();
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
@@ -60,56 +112,18 @@ Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
     return Status::InvalidArgument(
         "label store and point set cover different node counts");
   }
-  const NodeId n = labels.num_nodes();
-
   HubPointIndex idx;
-  idx.lists_.resize(n);
+  idx.lists_.resize(labels.num_nodes());
   idx.num_points_ = points.num_points();
   idx.point_id_bound_ = points.point_id_bound();
-
-  std::vector<Run> runs(n);
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      points.num_points() > 1) {
-    // Parallel label scans (per-worker cursors; stores are safe for
-    // concurrent reads), then a serial scatter in live-point order so
-    // the runs fill exactly as a serial build would.
-    const auto live_view = points.LivePoints();
-    const std::vector<PointId> live(live_view.begin(), live_view.end());
-    const int workers = pool->num_threads();
-    std::vector<LabelCursor> cursors(static_cast<size_t>(workers));
-    std::vector<std::vector<HubEntry>> occurrences(live.size());
-    std::vector<Status> errors(live.size(), Status::OK());
-    pool->ParallelFor(live.size(), [&](int worker, size_t i) {
-      auto scan = labels.Scan(points.NodeOf(live[i]),
-                              cursors[static_cast<size_t>(worker)]);
-      if (!scan.ok()) {
-        errors[i] = std::move(scan).status();
-        return;
-      }
-      occurrences[i].assign(scan->begin(), scan->end());
-    });
-    for (size_t i = 0; i < live.size(); ++i) {
-      GRNN_RETURN_NOT_OK(errors[i]);
-    }
-    for (size_t i = 0; i < live.size(); ++i) {
-      const NodeId home = points.NodeOf(live[i]);
-      for (const HubEntry& e : occurrences[i]) {
-        runs[e.hub].push_back(Entry{e.dist, live[i], home});
-        idx.num_entries_++;
-      }
-    }
-  } else {
-    LabelCursor cursor;
-    for (PointId p : points.LivePoints()) {
-      const NodeId home = points.NodeOf(p);
-      GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                            labels.Scan(home, cursor));
-      for (const HubEntry& e : label) {
-        runs[e.hub].push_back(Entry{e.dist, p, home});
-        idx.num_entries_++;
-      }
-    }
-  }
+  std::vector<Run> runs(labels.num_nodes());
+  GRNN_RETURN_NOT_OK(ScatterRuns(
+      points.LivePoints(),
+      [&](PointId p, LabelCursor& cursor, VirtualLabelBuffers&) {
+        return labels.Scan(points.NodeOf(p), cursor);
+      },
+      [&](PointId p) { return points.NodeOf(p); }, pool, runs,
+      &idx.num_entries_));
   PublishRuns(runs, idx.lists_, pool);
   return idx;
 }
@@ -117,98 +131,37 @@ Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
 Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
                                            const core::EdgePointSet& points,
                                            common::ThreadPool* pool) {
-  const NodeId n = labels.num_nodes();
-
   HubPointIndex idx;
-  idx.lists_.resize(n);
+  idx.lists_.resize(labels.num_nodes());
   idx.num_points_ = points.num_points();
   idx.point_id_bound_ = points.point_id_bound();
-
-  std::vector<Run> runs(n);
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      points.num_points() > 1) {
-    const auto live_view = points.LivePoints();
-    const std::vector<PointId> live(live_view.begin(), live_view.end());
-    const int workers = pool->num_threads();
-    std::vector<LabelCursor> cursors(static_cast<size_t>(workers));
-    std::vector<std::vector<std::pair<NodeId, Entry>>> occurrences(
-        live.size());
-    std::vector<Status> errors(live.size(), Status::OK());
-    pool->ParallelFor(live.size(), [&](int worker, size_t i) {
-      errors[i] = EdgeOccurrences(
-          labels, live[i], points.PositionOf(live[i]),
-          points.EdgeWeightOfPoint(live[i]),
-          cursors[static_cast<size_t>(worker)], &occurrences[i]);
-    });
-    for (size_t i = 0; i < live.size(); ++i) {
-      GRNN_RETURN_NOT_OK(errors[i]);
-    }
-    for (size_t i = 0; i < live.size(); ++i) {
-      for (const auto& [hub, entry] : occurrences[i]) {
-        runs[hub].push_back(entry);
-        idx.num_entries_++;
-      }
-    }
-  } else {
-    LabelCursor cursor;
-    std::vector<std::pair<NodeId, Entry>> occurrences;
-    for (PointId p : points.LivePoints()) {
-      GRNN_RETURN_NOT_OK(EdgeOccurrences(labels, p, points.PositionOf(p),
-                                         points.EdgeWeightOfPoint(p), cursor,
-                                         &occurrences));
-      for (const auto& [hub, entry] : occurrences) {
-        runs[hub].push_back(entry);
-        idx.num_entries_++;
-      }
-    }
-  }
+  std::vector<Run> runs(labels.num_nodes());
+  GRNN_RETURN_NOT_OK(ScatterRuns(
+      points.LivePoints(),
+      [&](PointId p, LabelCursor& cursor, VirtualLabelBuffers& buffers) {
+        return EdgeOccurrences(labels, points.PositionOf(p),
+                               points.EdgeWeightOfPoint(p), cursor,
+                               buffers);
+      },
+      [&](PointId p) { return points.PositionOf(p).u; }, pool, runs,
+      &idx.num_entries_));
   PublishRuns(runs, idx.lists_, pool);
   return idx;
 }
 
-Status HubPointIndex::EdgeOccurrences(
-    const LabelStore& labels, PointId p, const core::EdgePosition& pos,
-    Weight edge_weight, LabelCursor& cursor,
-    std::vector<std::pair<NodeId, Entry>>* out) {
-  out->clear();
+Result<std::span<const HubEntry>> HubPointIndex::EdgeOccurrences(
+    const LabelStore& labels, const core::EdgePosition& pos,
+    Weight edge_weight, LabelCursor& cursor, VirtualLabelBuffers& buffers) {
   if (pos.u >= labels.num_nodes() || pos.v >= labels.num_nodes()) {
     return Status::InvalidArgument(
         "edge position endpoints outside the label universe");
   }
   // A path from a hub to the interior position must enter through an
-  // endpoint, so d(h, p) = min over the two offset endpoint labels. The
-  // two scans stay sequential (one cursor-backed span live at a time);
-  // the sort-then-dedupe below takes the per-hub minimum.
-  const Weight off_u = pos.pos;
-  const Weight off_v = edge_weight - pos.pos;
-  {
-    GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                          labels.Scan(pos.u, cursor));
-    for (const HubEntry& e : label) {
-      out->emplace_back(e.hub, Entry{e.dist + off_u, p, pos.u});
-    }
-  }
-  {
-    GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                          labels.Scan(pos.v, cursor));
-    for (const HubEntry& e : label) {
-      out->emplace_back(e.hub, Entry{e.dist + off_v, p, pos.u});
-    }
-  }
-  std::sort(out->begin(), out->end(),
-            [](const std::pair<NodeId, Entry>& a,
-               const std::pair<NodeId, Entry>& b) {
-              return a.first != b.first ? a.first < b.first
-                                        : a.second.dist < b.second.dist;
-            });
-  // Keep the first (minimum-distance) occurrence per hub.
-  out->erase(std::unique(out->begin(), out->end(),
-                         [](const std::pair<NodeId, Entry>& a,
-                            const std::pair<NodeId, Entry>& b) {
-                           return a.first == b.first;
-                         }),
-             out->end());
-  return Status::OK();
+  // endpoint, so d(h, p) is the per-hub minimum over the two endpoint
+  // labels offset by the point's split of its edge.
+  const NodeId endpoints[2] = {pos.u, pos.v};
+  const Weight offsets[2] = {pos.pos, edge_weight - pos.pos};
+  return VirtualLabel(labels, endpoints, offsets, cursor, buffers);
 }
 
 void HubPointIndex::SpliceInto(NodeId hub, const Entry& entry) {
@@ -296,11 +249,12 @@ Status HubPointIndex::InsertEdgePoint(const LabelStore& labels, PointId p,
         "point index does not cover the label store's node universe");
   }
   LabelCursor cursor;
-  std::vector<std::pair<NodeId, Entry>> occurrences;
-  GRNN_RETURN_NOT_OK(
-      EdgeOccurrences(labels, p, pos, edge_weight, cursor, &occurrences));
-  for (const auto& [hub, entry] : occurrences) {
-    SpliceInto(hub, entry);
+  VirtualLabelBuffers buffers;
+  GRNN_ASSIGN_OR_RETURN(
+      std::span<const HubEntry> occurrences,
+      EdgeOccurrences(labels, pos, edge_weight, cursor, buffers));
+  for (const HubEntry& e : occurrences) {
+    SpliceInto(e.hub, Entry{e.dist, p, pos.u});
   }
   num_points_++;
   if (p + 1 > point_id_bound_) {
@@ -317,11 +271,12 @@ Status HubPointIndex::EraseEdgePoint(const LabelStore& labels, PointId p,
         "point index does not cover the label store's node universe");
   }
   LabelCursor cursor;
-  std::vector<std::pair<NodeId, Entry>> occurrences;
-  GRNN_RETURN_NOT_OK(
-      EdgeOccurrences(labels, p, pos, edge_weight, cursor, &occurrences));
-  for (const auto& [hub, entry] : occurrences) {
-    GRNN_RETURN_NOT_OK(RemoveFrom(hub, entry));
+  VirtualLabelBuffers buffers;
+  GRNN_ASSIGN_OR_RETURN(
+      std::span<const HubEntry> occurrences,
+      EdgeOccurrences(labels, pos, edge_weight, cursor, buffers));
+  for (const HubEntry& e : occurrences) {
+    GRNN_RETURN_NOT_OK(RemoveFrom(e.hub, Entry{e.dist, p, pos.u}));
   }
   num_points_--;
   return Status::OK();

@@ -121,12 +121,13 @@ class HubPointIndex {
   void SpliceInto(NodeId hub, const Entry& entry);
   /// Removes `entry` from its hub's run; Internal if absent.
   Status RemoveFrom(NodeId hub, const Entry& entry);
-  /// The occurrence list of one edge point: per-hub min over the two
-  /// offset endpoint labels, as (hub, entry) pairs sorted by hub.
-  static Status EdgeOccurrences(const LabelStore& labels, PointId p,
-                                const core::EdgePosition& pos,
-                                Weight edge_weight, LabelCursor& cursor,
-                                std::vector<std::pair<NodeId, Entry>>* out);
+  /// The occurrence label of an edge point at `pos`: the hub-sorted
+  /// (h, d(h, p)) list, i.e. the VirtualLabel of the two endpoints
+  /// offset by the point's split of its edge. Valid as VirtualLabel's.
+  static Result<std::span<const HubEntry>> EdgeOccurrences(
+      const LabelStore& labels, const core::EdgePosition& pos,
+      Weight edge_weight, LabelCursor& cursor,
+      VirtualLabelBuffers& buffers);
 
   std::vector<std::shared_ptr<const Run>> lists_;  // one per hub; null = empty
   size_t num_entries_ = 0;

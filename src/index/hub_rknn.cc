@@ -33,44 +33,47 @@ Status ValidateQuery(const LabelStore& labels,
   return Status::OK();
 }
 
-/// The sweep shared by both primitives: accumulates the minimum
-/// d(q,h) + d(h,p) per point over every hub of every query node's
-/// label. The 2-hop cover makes the minimum exact, so after the sweep
+/// The sweep shared by every primitive: reads the occurrence run of
+/// each hub of the query's virtual label (VirtualLabel over `nodes` at
+/// `offsets`) once, accumulating the minimum d(q,h) + d(h,p) per point.
+/// The 2-hop cover makes the minimum exact, so after the sweep
 /// ws.point_dist.Get(p) == d(query, p) for every reachable point p (the
 /// distance to the NEAREST query node), and unreachable points were
-/// never touched.
+/// never touched. Per-point scratch is sized for ids below `id_bound`.
 Status SweepPointDistances(const LabelStore& labels,
                            const HubPointIndex& points,
-                           std::span<const NodeId> query_nodes,
-                           LabelWorkspace& ws,
+                           std::span<const NodeId> nodes,
+                           std::span<const Weight> offsets,
+                           PointId id_bound, LabelWorkspace& ws,
                            core::SearchStats* stats) {
   // Armed-trace child span (obs/trace.h): one nullptr branch when the
   // query is not sampled.
   obs::ScopedSpan span(obs::CurrentTrace(), "hub.sweep");
   const uint64_t entries_before = stats->label_entries;
-  ws.point_dist.Reset(points.point_id_bound());
-  if (ws.point_node.size() < points.point_id_bound()) {
-    ws.point_node.resize(points.point_id_bound(), kInvalidNode);
+  ws.point_dist.Reset(id_bound);
+  if (ws.point_node.size() < id_bound) {
+    ws.point_node.resize(id_bound, kInvalidNode);
   }
   ws.touched.clear();
-  for (NodeId q : query_nodes) {
-    GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                          labels.Scan(q, ws.cursor));
-    for (const HubEntry& e : label) {
-      for (const HubPointIndex::Entry& occ : points.ListOf(e.hub)) {
-        const Weight ub = e.dist + occ.dist;
-        stats->label_entries++;
-        if (!ws.point_dist.Has(occ.point)) {
-          ws.point_dist.Set(occ.point, ub);
-          ws.point_node[occ.point] = occ.node;
-          ws.touched.push_back(occ.point);
-        } else if (ub < ws.point_dist.Get(occ.point)) {
-          ws.point_dist.Set(occ.point, ub);
-        }
+  GRNN_ASSIGN_OR_RETURN(
+      std::span<const HubEntry> label,
+      VirtualLabel(labels, nodes, offsets, ws.cursor, ws.virtual_label));
+  for (const HubEntry& e : label) {
+    const std::span<const HubPointIndex::Entry> run = points.ListOf(e.hub);
+    stats->label_entries += run.size();
+    for (const HubPointIndex::Entry& occ : run) {
+      const Weight ub = e.dist + occ.dist;
+      if (!ws.point_dist.Has(occ.point)) {
+        ws.point_dist.Set(occ.point, ub);
+        ws.point_node[occ.point] = occ.node;
+        ws.touched.push_back(occ.point);
+      } else if (ub < ws.point_dist.Get(occ.point)) {
+        ws.point_dist.Set(occ.point, ub);
       }
     }
   }
   if (span.armed()) {
+    span.Note("query_hubs", label.size());
     span.Note("label_entries", stats->label_entries - entries_before);
     span.Note("points_touched", ws.touched.size());
   }
@@ -87,8 +90,9 @@ Status KnnViaLabelsInto(const LabelStore& labels,
   core::SearchStats local;
   GRNN_RETURN_NOT_OK(
       ValidateQuery(labels, points, points, {&source, 1}, k));
-  GRNN_RETURN_NOT_OK(
-      SweepPointDistances(labels, points, {&source, 1}, ws, &local));
+  GRNN_RETURN_NOT_OK(SweepPointDistances(labels, points, {&source, 1}, {},
+                                         points.point_id_bound(), ws,
+                                         &local));
   if (stats != nullptr) {
     *stats += local;
   }
@@ -132,7 +136,8 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
 
   core::RknnResult out;
   GRNN_RETURN_NOT_OK(SweepPointDistances(labels, candidates, query_nodes,
-                                         ws, &out.stats));
+                                         {}, candidates.point_id_bound(), ws,
+                                         &out.stats));
 
   const size_t k = static_cast<size_t>(options.k);
   obs::ScopedSpan verify(obs::CurrentTrace(), "hub.verify");
@@ -256,36 +261,14 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
   const PointId bound =
       std::max(index.point_id_bound(), points.point_id_bound());
   if (q.is_position) {
-    // Sweep over the query's VIRTUAL label: both endpoint labels, each
+    // Sweep the position's virtual label: both endpoint labels, each
     // offset by the query's distance to that endpoint. Exact for every
     // point not sharing the query's edge (any path to an interior
     // position enters through an endpoint).
-    obs::ScopedSpan sweep(obs::CurrentTrace(), "hub.sweep");
-    ws.point_dist.Reset(bound);
-    if (ws.point_node.size() < bound) {
-      ws.point_node.resize(bound, kInvalidNode);
-    }
-    ws.touched.clear();
     const NodeId endpoints[2] = {q.position.u, q.position.v};
     const Weight offsets[2] = {q.position.pos, qw - q.position.pos};
-    for (int side = 0; side < 2; ++side) {
-      GRNN_ASSIGN_OR_RETURN(std::span<const HubEntry> label,
-                            labels.Scan(endpoints[side], ws.cursor));
-      for (const HubEntry& e : label) {
-        const Weight base = offsets[side] + e.dist;
-        for (const HubPointIndex::Entry& occ : index.ListOf(e.hub)) {
-          out.stats.label_entries++;
-          const Weight ub = base + occ.dist;
-          if (!ws.point_dist.Has(occ.point)) {
-            ws.point_dist.Set(occ.point, ub);
-            ws.point_node[occ.point] = occ.node;
-            ws.touched.push_back(occ.point);
-          } else if (ub < ws.point_dist.Get(occ.point)) {
-            ws.point_dist.Set(occ.point, ub);
-          }
-        }
-      }
-    }
+    GRNN_RETURN_NOT_OK(SweepPointDistances(labels, index, endpoints,
+                                           offsets, bound, ws, &out.stats));
     // Same-edge correction: the direct segment between two positions on
     // one edge is the only path the endpoint-route cover cannot see.
     for (const storage::EdgePointRecord& r :
@@ -299,17 +282,12 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
         ws.point_dist.Set(r.point, direct);
       }
     }
-    if (sweep.armed()) {
-      sweep.Note("label_entries", out.stats.label_entries);
-      sweep.Note("points_touched", ws.touched.size());
-    }
   } else {
-    // Route queries sweep per route NODE; node-to-interior-position
+    // Route queries sweep their nodes' labels; node-to-interior-position
     // distances carry no same-edge case (the query sits on nodes), so
-    // the restricted sweep over the edge-point occurrence index is
-    // already exact.
-    GRNN_RETURN_NOT_OK(
-        SweepPointDistances(labels, index, q.route, ws, &out.stats));
+    // the sweep over the edge-point occurrence index is already exact.
+    GRNN_RETURN_NOT_OK(SweepPointDistances(labels, index, q.route, {},
+                                           bound, ws, &out.stats));
   }
 
   const size_t k = static_cast<size_t>(options.k);
@@ -341,11 +319,13 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
         ++closer;
       }
     }
-    // Hub walk over the candidate's virtual label: L(u) offset by the
-    // candidate's split of its edge, then L(v) by the remainder. Runs
-    // are (dist, point)-sorted, so each ends at the first bound past
-    // d_query; a competitor whose exact distance qualifies is counted
-    // through the hub witnessing it (or the direct pass above).
+    // Hub walk over the candidate's endpoint labels in turn: L(u)
+    // offset by the candidate's split of its edge, then L(v) by the
+    // remainder. Runs are (dist, point)-sorted, so each ends at the
+    // first bound past d_query; a competitor whose exact distance
+    // qualifies is counted through the hub witnessing it (or the direct
+    // pass above). No VirtualLabel merge here: the walk usually stops
+    // after a few hubs, where a merge would read both labels in full.
     const NodeId endpoints[2] = {ppos.u, ppos.v};
     const Weight offsets[2] = {ppos.pos, pw - ppos.pos};
     for (int side = 0; side < 2 && closer < k; ++side) {

@@ -4,9 +4,15 @@
 // structure:
 //
 //   sweep    — walk the inverted occurrence lists (HubPointIndex) of
-//              every hub in the query label, accumulating the minimum
-//              d(q,h) + d(h,p) per point. The 2-hop cover guarantees the
-//              minimum IS the exact network distance d(q, p).
+//              every hub in the query's VIRTUAL label (VirtualLabel in
+//              hub_label.h: the per-hub minimum over the labels of all
+//              query nodes — a route's nodes, or a position's two
+//              offset endpoints), accumulating the minimum
+//              d(q,h) + d(h,p) per point. Each hub's run is read once,
+//              however many query nodes share it, so a route costs the
+//              runs of the union of its labels. The 2-hop cover
+//              guarantees the minimum IS the exact network distance
+//              d(q, p).
 //   verify   — (RkNN only) for each candidate p, count competitors
 //              strictly closer to p than the query by walking the
 //              competitor lists of p's hubs; runs are sorted by
@@ -46,6 +52,8 @@ struct LabelWorkspace {
   LabelCursor cursor;
   /// Second live span for pairwise QueryViaStore lookups.
   LabelCursor aux_cursor;
+  /// Merge buffers of the query's virtual label (VirtualLabel).
+  VirtualLabelBuffers virtual_label;
   /// Point id -> minimum d(q,h) + d(h,p) seen so far (exact distance
   /// once the sweep finishes).
   core::StampedDistances point_dist;
@@ -59,7 +67,7 @@ struct LabelWorkspace {
 
   size_t CapacityFootprint() const {
     return cursor.scratch_capacity() + aux_cursor.scratch_capacity() +
-           point_dist.capacity() + counted.capacity() +
+           virtual_label.capacity() + point_dist.capacity() + counted.capacity() +
            touched.capacity() + point_node.capacity();
   }
 
@@ -109,12 +117,14 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
 /// EdgePointSet — occurrences at min distance through both endpoints).
 /// Exact under the RknnOptions contract and interchangeable with
 /// UnrestrictedEagerRknn: distances to an interior position combine the
-/// sweep over the two OFFSET endpoint labels of the query position (or
-/// the plain per-node sweep for route queries) with a same-edge
-/// correction pass — the direct segment between positions sharing one
-/// edge is the only path the 2-hop cover cannot see. Verification walks
-/// each candidate's virtual label (both endpoint labels, offset by the
-/// candidate's split of its edge) plus its same-edge neighbors.
+/// sweep over the virtual label of the query position (its two OFFSET
+/// endpoint labels; a route sweeps its nodes' labels, as RknnViaLabels
+/// does) with a same-edge correction pass — the direct segment between
+/// positions sharing one edge is the only path the 2-hop cover cannot
+/// see. Verification walks each candidate's two endpoint labels in
+/// turn, offset by the candidate's split of its edge, plus its
+/// same-edge neighbors; it does not merge them, because the walk stops
+/// after a few hubs where a merge would read both labels in full.
 ///
 /// `g` resolves the query edge's weight and canonical orientation for
 /// position queries; `nbr_cursor` backs that one transient scan.

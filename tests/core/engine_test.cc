@@ -777,6 +777,49 @@ TEST(EngineHubTest, EdgeUpdatesMaintainIndexIncrementally) {
   EXPECT_EQ(after->results, deleted->results);
 }
 
+// Point ids never recycle, so every insert raises the id bound of the
+// id-indexed workspace buffers by one. Those buffers must reallocate
+// geometrically, and workspace_grows must count only real
+// reallocations: a handful over 200 insert-then-query rounds, not one
+// per query.
+TEST(EngineHubTest, FreshPointIdsGrowWorkspaceOnlyGeometrically) {
+  auto w = MakeWorld(29, 3);
+  auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
+  EngineSources sources;
+  sources.graph = &*w->view;
+  sources.points = &w->points;
+  sources.knn = &w->knn;
+  sources.hub_labels = &labels;
+  sources.updates.points = &w->points;
+  sources.updates.knn = &w->knn;
+  sources.snapshot_reads = true;
+  RknnEngine engine = RknnEngine::Create(sources).ValueOrDie();
+
+  NodeId free = kInvalidNode;
+  for (NodeId n = 0; n < w->g.num_nodes() && free == kInvalidNode; ++n) {
+    if (!w->points.Contains(n)) {
+      free = n;
+    }
+  }
+  ASSERT_NE(free, kInvalidNode);
+  const QuerySpec spec =
+      QuerySpec::Monochromatic(Algorithm::kHubLabel, free, 2);
+  ASSERT_TRUE(engine.Run(spec).ok());  // warm the pooled workspace
+  const uint64_t grows_before = engine.lifetime_stats().workspace_grows;
+  for (int round = 0; round < 200; ++round) {
+    auto ins = engine.ApplyUpdate(UpdateSpec::InsertPoint(free));
+    ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+    auto r = engine.Run(spec);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.hub_fallbacks, 0u);
+    ASSERT_TRUE(engine.ApplyUpdate(UpdateSpec::DeletePoint(ins->point)).ok());
+  }
+  const uint64_t grows =
+      engine.lifetime_stats().workspace_grows - grows_before;
+  EXPECT_LE(grows, 8u) << "200 fresh ids grew the workspace " << grows
+                       << " times";
+}
+
 // LabelStore wrapper that fails Scans of one chosen node — the only
 // handle an external test has on the structural-failure staleness path
 // (a healthy engine never trips it).

@@ -194,5 +194,32 @@ TEST(StampedStructuresTest, GrowsAcrossResets) {
   EXPECT_FALSE(s.Contains(1));
 }
 
+// capacity() feeds the engine's workspace_grows counter, so it must
+// move only when memory is really allocated. A bound creeping up by one
+// per Reset — a fresh point id per insert — reallocates geometrically:
+// about log2(1000) = 10 times over 1000 steps, not 1000 times.
+TEST(StampedStructuresTest, CapacityGrowsGeometricallyUnderCreepingBound) {
+  StampedDistances d;
+  StampedSet s;
+  size_t d_changes = 0;
+  size_t s_changes = 0;
+  size_t d_cap = d.capacity();
+  size_t s_cap = s.capacity();
+  for (size_t n = 1; n <= 1000; ++n) {
+    d.Reset(n);
+    s.Reset(n);
+    d.Set(static_cast<NodeId>(n - 1), 1.0);
+    s.Insert(static_cast<NodeId>(n - 1));
+    EXPECT_GE(d.capacity(), n);
+    EXPECT_GE(s.capacity(), n);
+    d_changes += d.capacity() != d_cap ? 1 : 0;
+    s_changes += s.capacity() != s_cap ? 1 : 0;
+    d_cap = d.capacity();
+    s_cap = s.capacity();
+  }
+  EXPECT_LE(d_changes, 20u);
+  EXPECT_LE(s_changes, 20u);
+}
+
 }  // namespace
 }  // namespace grnn::core

@@ -243,6 +243,55 @@ TEST(TelemetryEngineTest, ExplicitTraceFieldArmsWithoutSampling) {
   EXPECT_EQ(ctx.spans().size(), before);
 }
 
+// A continuous query sweeps one merged virtual label: its hub.sweep
+// span notes how many entries that label holds (query_hubs — one per
+// distinct hub of the route's labels) beside the run entries it read.
+TEST(TelemetryEngineTest, ContinuousSweepNotesQueryHubs) {
+  auto f = PaperExample();
+  graph::GraphView view(&f.g);
+  auto labels = index::HubLabelBuilder::Build(view).ValueOrDie();
+  EngineSources sources;
+  sources.graph = &view;
+  sources.points = &f.points;
+  sources.hub_labels = &labels;
+  RknnEngine engine = RknnEngine::Create(sources).ValueOrDie();
+
+  const std::vector<NodeId> route = {3, 2, 3, 0};
+  std::vector<NodeId> hubs;
+  for (NodeId n : route) {
+    for (const index::HubEntry& e : labels.Label(n)) {
+      hubs.push_back(e.hub);
+    }
+  }
+  std::sort(hubs.begin(), hubs.end());
+  hubs.erase(std::unique(hubs.begin(), hubs.end()), hubs.end());
+
+  obs::TraceContext ctx;
+  QuerySpec spec = QuerySpec::Continuous(Algorithm::kHubLabel, route, 1);
+  spec.trace = &ctx;
+  auto r = engine.Run(spec);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(ctx.AllClosed());
+  const obs::SpanRecord* sweep = nullptr;
+  for (const obs::SpanRecord& s : ctx.spans()) {
+    if (std::string(s.name) == "hub.sweep") {
+      sweep = &s;
+    }
+  }
+  ASSERT_NE(sweep, nullptr);
+  uint64_t query_hubs = 0;
+  uint64_t label_entries = 0;
+  for (const auto& [key, value] : sweep->notes) {
+    if (std::string(key) == "query_hubs") {
+      query_hubs = value;
+    } else if (std::string(key) == "label_entries") {
+      label_entries = value;
+    }
+  }
+  EXPECT_EQ(query_hubs, hubs.size());
+  EXPECT_GT(label_entries, 0u);
+}
+
 // Failing queries still close every span they opened: the root span's
 // ScopedSpan unwinds with the error, leaving a finished tree the
 // caller can inspect.

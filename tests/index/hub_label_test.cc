@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -15,7 +17,10 @@
 #include "index/hub_label.h"
 #include "index/hub_point_index.h"
 #include "index/hub_rknn.h"
+#include "index/label_file.h"
 #include "index/packed_labels.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "test_fixtures.h"
 
 namespace grnn::index {
@@ -663,6 +668,205 @@ TEST(HubPointIndex, CopySharesRunsAndPatchClonesOnlyTouchedHubs) {
   // a 10-point build leaves plenty untouched.
   EXPECT_GE(cloned, 1u);
   EXPECT_GE(shared, 1u);
+}
+
+// --- Multi-node sweeps over the merged virtual label --------------------
+
+// Two random components side by side: nodes [0, 25) and [25, 45).
+graph::Graph TwoComponentGraph(Rng& rng) {
+  const auto a = RandomConnectedGraph(25, 0.5, rng);
+  const auto b = RandomConnectedGraph(20, 0.5, rng);
+  std::vector<Edge> edges = a.CollectEdges();
+  for (Edge e : b.CollectEdges()) {
+    e.u += a.num_nodes();
+    e.v += a.num_nodes();
+    edges.push_back(e);
+  }
+  return graph::Graph::FromEdges(a.num_nodes() + b.num_nodes(), edges)
+      .ValueOrDie();
+}
+
+// One reopened LabelFile behind an 8-frame pool: copy mode, so every
+// Scan overwrites the cursor buffer the previous span pointed into.
+struct ReopenedLabels {
+  storage::MemoryDiskManager disk{512};
+  std::unique_ptr<LabelFile> file;
+  std::unique_ptr<storage::BufferPool> pool;
+  std::unique_ptr<StoredLabelIndex> store;
+
+  ReopenedLabels(const HubLabelIndex& labels, LabelLayout layout) {
+    const PageId first =
+        LabelFile::Build(labels, &disk, layout).ValueOrDie().first_page();
+    file = std::make_unique<LabelFile>(
+        LabelFile::Open(&disk, first).ValueOrDie());
+    pool = std::make_unique<storage::BufferPool>(&disk, 8);
+    store = std::make_unique<StoredLabelIndex>(file.get(), pool.get());
+  }
+};
+
+// Runs `check` against the in-memory labels and a reopened LabelFile in
+// each layout, all serving the same labels.
+template <typename Check>
+void ForEachStore(const HubLabelIndex& labels, Check check) {
+  check(static_cast<const LabelStore&>(labels), "memory");
+  for (LabelLayout layout : {LabelLayout::kRecords, LabelLayout::kDelta}) {
+    ReopenedLabels reopened(labels, layout);
+    check(static_cast<const LabelStore&>(*reopened.store),
+          layout == LabelLayout::kRecords ? "records" : "delta");
+    EXPECT_EQ(reopened.pool->num_pinned(), 0u);
+  }
+}
+
+TEST(MultiNodeSweep, RoutesMatchOracleAndPerNodeMinimumExactly) {
+  for (uint64_t seed : {41u, 42u}) {
+    Rng rng(seed);
+    const auto g = TwoComponentGraph(rng);
+    graph::GraphView view(&g);
+    auto points = RandomPoints(g.num_nodes(), 16, rng);
+    const auto labels = HubLabelBuilder::Build(view).ValueOrDie();
+    const std::vector<std::vector<NodeId>> routes = {
+        {7},                  // one node
+        {3, 9, 3, 3, 14, 9},  // repeated nodes
+        {2, 30, 11, 40},      // nodes in both components
+        {26, 26, 5, 26, 44},  // both: repeats across components
+    };
+    ForEachStore(labels, [&](const LabelStore& store, const char* name) {
+      const auto occ = HubPointIndex::Build(store, points).ValueOrDie();
+      LabelWorkspace ws;
+      LabelCursor cu, cv;
+      for (const auto& route : routes) {
+        for (int k : {1, 2, 3}) {
+          core::RknnOptions options;
+          options.k = k;
+          auto got =
+              RknnViaLabels(store, occ, occ, route, options, ws).ValueOrDie();
+          auto want =
+              core::BruteForceRknn(view, points, route, options).ValueOrDie();
+          EXPECT_EQ(Ids(got), Ids(want))
+              << name << " seed=" << seed << " k=" << k
+              << " route[0]=" << route[0];
+          for (const core::PointMatch& m : got.results) {
+            Weight nearest = kInfinity;
+            for (NodeId q : route) {
+              nearest = std::min(
+                  nearest, QueryViaStore(store, q, m.node, cu, cv).ValueOrDie());
+            }
+            EXPECT_EQ(m.dist, nearest) << name << " point=" << m.point;
+          }
+        }
+      }
+      EXPECT_EQ(ws.held_pins(), 0u);
+      cu.Reset();
+      cv.Reset();
+    });
+  }
+}
+
+TEST(MultiNodeSweep, RepeatedNodeRouteSweepsLikeOneNode) {
+  Rng rng(43);
+  const auto g = RandomConnectedGraph(50, 0.6, rng);
+  graph::GraphView view(&g);
+  auto points = RandomPoints(g.num_nodes(), 15, rng);
+  const auto labels = HubLabelBuilder::Build(view).ValueOrDie();
+  ForEachStore(labels, [&](const LabelStore& store, const char* name) {
+    const auto occ = HubPointIndex::Build(store, points).ValueOrDie();
+    LabelWorkspace ws;
+    core::RknnOptions options;
+    options.k = 2;
+    for (NodeId q : {NodeId{0}, NodeId{17}, NodeId{49}}) {
+      const auto one =
+          RknnViaLabels(store, occ, occ, {&q, 1}, options, ws).ValueOrDie();
+      for (size_t m : {2u, 5u, 8u}) {
+        const std::vector<NodeId> route(m, q);
+        const auto many =
+            RknnViaLabels(store, occ, occ, route, options, ws).ValueOrDie();
+        // Each hub's run is read once, however many copies name it.
+        EXPECT_EQ(many.stats.label_entries, one.stats.label_entries)
+            << name << " q=" << q << " m=" << m;
+        EXPECT_EQ(many.results, one.results) << name << " q=" << q;
+      }
+    }
+  });
+}
+
+TEST(MultiNodeSweep, EdgeOccurrencesAreTheOffsetEndpointMinimum) {
+  Rng rng(44);
+  const auto g = TwoComponentGraph(rng);
+  graph::GraphView view(&g);
+  const auto labels = HubLabelBuilder::Build(view).ValueOrDie();
+  const auto edges = g.CollectEdges();
+  std::vector<core::EdgePosition> positions;
+  for (uint64_t i : rng.SampleWithoutReplacement(edges.size(), 14)) {
+    const Edge& e = edges[i];
+    positions.push_back({e.u, e.v, rng.Uniform(0.0, e.w)});
+  }
+  auto points = core::EdgePointSet::Create(g, positions).ValueOrDie();
+
+  // Expected occurrence distances straight from the labels:
+  // min(d(u,h) + pos, d(v,h) + w - pos) per hub of either endpoint.
+  std::vector<std::map<NodeId, Weight>> want(points.point_id_bound());
+  size_t want_entries = 0;
+  for (PointId p : points.LivePoints()) {
+    const core::EdgePosition& pos = points.PositionOf(p);
+    const Weight w = points.EdgeWeightOfPoint(p);
+    for (const HubEntry& e : labels.Label(pos.u)) {
+      want[p][e.hub] = e.dist + pos.pos;
+    }
+    for (const HubEntry& e : labels.Label(pos.v)) {
+      const Weight via_v = e.dist + (w - pos.pos);
+      auto [it, fresh] = want[p].emplace(e.hub, via_v);
+      if (!fresh) {
+        it->second = std::min(it->second, via_v);
+      }
+    }
+    want_entries += want[p].size();
+  }
+
+  ForEachStore(labels, [&](const LabelStore& store, const char* name) {
+    const auto occ = HubPointIndex::Build(store, points).ValueOrDie();
+    EXPECT_EQ(occ.num_entries(), want_entries) << name;
+    for (NodeId h = 0; h < occ.num_hubs(); ++h) {
+      for (const HubPointIndex::Entry& entry : occ.ListOf(h)) {
+        const auto it = want[entry.point].find(h);
+        ASSERT_NE(it, want[entry.point].end())
+            << name << " hub=" << h << " point=" << entry.point;
+        EXPECT_EQ(entry.dist, it->second)
+            << name << " hub=" << h << " point=" << entry.point;
+        EXPECT_EQ(entry.node, points.PositionOf(entry.point).u);
+      }
+    }
+
+    // Position queries sweep the same two-endpoint virtual label; route
+    // queries with repeats and both components sweep the merged one.
+    LabelWorkspace ws;
+    graph::NeighborCursor nbr;
+    const auto live = points.LivePoints();
+    std::vector<core::UnrestrictedQuery> queries;
+    for (size_t i = 0; i < 4; ++i) {
+      core::UnrestrictedQuery q;
+      q.position = points.PositionOf(live[i]);
+      queries.push_back(q);
+    }
+    core::UnrestrictedQuery route;
+    route.is_position = false;
+    route.route = {4, 30, 4, 12, 30};
+    queries.push_back(route);
+    for (const auto& q : queries) {
+      for (int k : {1, 2}) {
+        core::RknnOptions options;
+        options.k = k;
+        auto got = UnrestrictedRknnViaLabels(store, view, points, occ, q,
+                                             options, ws, nbr)
+                       .ValueOrDie();
+        auto want_ids =
+            core::UnrestrictedBruteForceRknn(view, points, q, options)
+                .ValueOrDie();
+        EXPECT_EQ(Ids(got), Ids(want_ids))
+            << name << " k=" << k << " position=" << q.is_position;
+      }
+    }
+    EXPECT_EQ(ws.held_pins(), 0u);
+  });
 }
 
 }  // namespace
