@@ -1,6 +1,7 @@
 #include "core/durability.h"
 
 #include <cstring>
+#include <span>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -106,44 +107,6 @@ Result<JournaledUpdate> DecodeUpdateRecord(const storage::WalRecord& rec) {
   }
   if (off != in.size()) {
     return Malformed("update (trailing bytes)", rec.lsn);
-  }
-  return out;
-}
-
-std::vector<uint8_t> EncodeLabelPayload(
-    NodeId node, std::span<const index::HubEntry> entries) {
-  std::vector<uint8_t> out;
-  Put(&out, node);
-  Put(&out, static_cast<uint32_t>(entries.size()));
-  for (const index::HubEntry& e : entries) {
-    Put(&out, e);  // bit-identical to the stored record format
-  }
-  return out;
-}
-
-Result<JournaledLabelRewrite> DecodeLabelRecord(
-    const storage::WalRecord& rec) {
-  if (rec.type !=
-      static_cast<uint16_t>(storage::WalRecordType::kLabelRewrite)) {
-    return Status::InvalidArgument("record is not a kLabelRewrite record");
-  }
-  JournaledLabelRewrite out;
-  out.lsn = rec.lsn;
-  out.store_id = rec.store_id;
-  std::span<const uint8_t> in(rec.payload);
-  size_t off = 0;
-  uint32_t count = 0;
-  if (!Get(in, &off, &out.node) || !Get(in, &off, &count)) {
-    return Malformed("label", rec.lsn);
-  }
-  out.entries.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!Get(in, &off, &out.entries[i])) {
-      return Malformed("label (entry)", rec.lsn);
-    }
-  }
-  if (off != in.size()) {
-    return Malformed("label (trailing bytes)", rec.lsn);
   }
   return out;
 }
@@ -285,76 +248,34 @@ void DurableKnnStore::AbortUpdate() {
   in_txn_ = false;
 }
 
-Status DurableLabelWriter::Rewrite(NodeId n,
-                                   std::span<const index::HubEntry> entries,
-                                   UpdateStats* stats) {
-  const std::vector<uint8_t> payload = EncodeLabelPayload(n, entries);
-  GRNN_ASSIGN_OR_RETURN(
-      uint64_t lsn, wal_->Append(storage::WalRecordType::kLabelRewrite,
-                                 store_id_, payload));
-  GRNN_ASSIGN_OR_RETURN(bool flushed, wal_->Flush());
-  if (stats != nullptr) {
-    stats->log_records++;
-    stats->log_bytes += payload.size();
-    stats->log_flushes += flushed ? 1 : 0;
-  }
-  GRNN_RETURN_NOT_OK(file_->RewriteLabel(pool_, n, entries, lsn));
-  if (stats != nullptr) {
-    stats->lists_written++;
-  }
-  return Status::OK();
-}
-
 Result<RecoveryResult> RecoverStores(
     const storage::Wal& wal,
-    const std::unordered_map<uint32_t, KnnRecoveryTarget>& knn_stores,
-    const std::unordered_map<uint32_t, LabelRecoveryTarget>&
-        label_stores) {
+    const std::unordered_map<uint32_t, KnnRecoveryTarget>& knn_stores) {
   RecoveryResult out;
   out.tail_truncated = wal.tail_truncated();
   std::unordered_set<storage::DiskManager*> touched;
   for (const storage::WalRecord& rec : wal.recovered()) {
-    if (rec.type ==
+    if (rec.type !=
         static_cast<uint16_t>(storage::WalRecordType::kUpdate)) {
-      GRNN_ASSIGN_OR_RETURN(JournaledUpdate update,
-                            DecodeUpdateRecord(rec));
-      auto it = knn_stores.find(rec.store_id);
-      if (it == knn_stores.end()) {
-        return Status::Corruption(StrPrintf(
-            "WAL record lsn=%llu names unknown knn store %u",
-            static_cast<unsigned long long>(rec.lsn), rec.store_id));
-      }
-      GRNN_ASSIGN_OR_RETURN(
-          size_t pages,
-          it->second.file->ReplayBatch(it->second.disk, update.lists,
-                                       rec.lsn));
-      out.pages_written += pages;
-      touched.insert(it->second.disk);
-      out.records_replayed++;
-      out.updates.push_back(std::move(update));
-    } else if (rec.type == static_cast<uint16_t>(
-                               storage::WalRecordType::kLabelRewrite)) {
-      GRNN_ASSIGN_OR_RETURN(JournaledLabelRewrite rewrite,
-                            DecodeLabelRecord(rec));
-      auto it = label_stores.find(rec.store_id);
-      if (it == label_stores.end()) {
-        return Status::Corruption(StrPrintf(
-            "WAL record lsn=%llu names unknown label store %u",
-            static_cast<unsigned long long>(rec.lsn), rec.store_id));
-      }
-      GRNN_ASSIGN_OR_RETURN(
-          size_t pages,
-          it->second.file->ReplayLabel(it->second.disk, rewrite.node,
-                                       rewrite.entries, rec.lsn));
-      out.pages_written += pages;
-      touched.insert(it->second.disk);
-      out.records_replayed++;
-      out.label_rewrites.push_back(std::move(rewrite));
-    } else {
       return Status::Corruption(StrPrintf(
           "WAL record lsn=%llu has unknown type %u",
           static_cast<unsigned long long>(rec.lsn), rec.type));
     }
+    GRNN_ASSIGN_OR_RETURN(JournaledUpdate update, DecodeUpdateRecord(rec));
+    auto it = knn_stores.find(rec.store_id);
+    if (it == knn_stores.end()) {
+      return Status::Corruption(StrPrintf(
+          "WAL record lsn=%llu names unknown knn store %u",
+          static_cast<unsigned long long>(rec.lsn), rec.store_id));
+    }
+    GRNN_ASSIGN_OR_RETURN(
+        size_t pages,
+        it->second.file->ReplayBatch(it->second.disk, update.lists,
+                                     rec.lsn));
+    out.pages_written += pages;
+    touched.insert(it->second.disk);
+    out.records_replayed++;
+    out.updates.push_back(std::move(update));
   }
   // Make the replayed pages durable before anyone checkpoints the log
   // away on top of them.

@@ -26,24 +26,25 @@
 // update IS in the durable log. A crash therefore recovers exactly a
 // prefix of the committed updates that contains every acknowledged one.
 //
-// RecoverStores is the redo driver: it decodes the records a reopened
-// Wal recovered and replays each list image through the page-LSN filter
-// (KnnFile::ReplayBatch / LabelFile::ReplayLabel — pages already
-// carrying the update are skipped, so recovering twice equals
-// recovering once). It returns the decoded logical descriptors in lsn
-// order; the caller replays those onto its point metadata to rebuild
-// the matching logical state.
+// RecoverStores is the redo driver: it decodes the kUpdate records a
+// reopened Wal recovered and replays each list image through the
+// page-LSN filter (KnnFile::ReplayBatch — pages already carrying the
+// update are skipped, so recovering twice equals recovering once). Any
+// other record type fails recovery with Corruption. It returns the
+// decoded logical descriptors in lsn order; the caller replays those
+// onto its point metadata to rebuild the matching logical state.
+//
+// Hub labels are not journaled: they depend only on the immutable
+// graph, so a LabelFile is written once and never patched.
 
 #ifndef GRNN_CORE_DURABILITY_H_
 #define GRNN_CORE_DURABILITY_H_
 
-#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "core/materialize.h"
-#include "index/label_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/knn_file.h"
 #include "storage/wal.h"
@@ -63,23 +64,11 @@ struct JournaledUpdate {
   std::vector<JournaledList> lists;
 };
 
-/// One decoded kLabelRewrite record.
-struct JournaledLabelRewrite {
-  uint64_t lsn = 0;
-  uint32_t store_id = 0;
-  NodeId node = kInvalidNode;
-  std::vector<index::HubEntry> entries;
-};
-
 /// Record payload codecs, exposed for the WAL edge-case tests (they
 /// hand-corrupt and re-frame payloads).
 std::vector<uint8_t> EncodeUpdatePayload(
     const UpdateDescriptor& desc, const std::vector<JournaledList>& lists);
 Result<JournaledUpdate> DecodeUpdateRecord(const storage::WalRecord& rec);
-std::vector<uint8_t> EncodeLabelPayload(
-    NodeId node, std::span<const index::HubEntry> entries);
-Result<JournaledLabelRewrite> DecodeLabelRecord(
-    const storage::WalRecord& rec);
 
 /// \brief Journaled KnnStore over a KnnFile + BufferPool + shared Wal.
 ///
@@ -153,44 +142,11 @@ class DurableKnnStore final : public KnnStore {
   bool poisoned_ = false;
 };
 
-/// \brief Journaled label rewrites: the LabelFile counterpart of
-/// DurableKnnStore, for maintenance that refreshes stored hub labels in
-/// place. Each Rewrite is its own atomic record (journal, flush, then
-/// apply with the record's lsn stamped into the touched pages).
-class DurableLabelWriter {
- public:
-  DurableLabelWriter(index::LabelFile* file, storage::BufferPool* pool,
-                     storage::Wal* wal, uint32_t store_id)
-      : file_(file), pool_(pool), wal_(wal), store_id_(store_id) {
-    GRNN_CHECK(file != nullptr);
-    GRNN_CHECK(pool != nullptr);
-    GRNN_CHECK(wal != nullptr);
-  }
-
-  /// Journals and applies one equal-count label rewrite. Returns only
-  /// after the record is durable; `stats` (nullable) receives the log
-  /// counters.
-  Status Rewrite(NodeId n, std::span<const index::HubEntry> entries,
-                 UpdateStats* stats = nullptr);
-
-  uint32_t store_id() const { return store_id_; }
-
- private:
-  index::LabelFile* file_;
-  storage::BufferPool* pool_;
-  storage::Wal* wal_;
-  uint32_t store_id_;
-};
-
 /// Where a store's recovered records should be replayed: the reopened
 /// file plus the raw device to replay through (recovery runs offline,
 /// before any pool serves the file).
 struct KnnRecoveryTarget {
   storage::KnnFile* file = nullptr;
-  storage::DiskManager* disk = nullptr;
-};
-struct LabelRecoveryTarget {
-  index::LabelFile* file = nullptr;
   storage::DiskManager* disk = nullptr;
 };
 
@@ -199,8 +155,6 @@ struct LabelRecoveryTarget {
 struct RecoveryResult {
   /// Decoded kUpdate records in lsn order — the durable update prefix.
   std::vector<JournaledUpdate> updates;
-  /// Decoded kLabelRewrite records in lsn order.
-  std::vector<JournaledLabelRewrite> label_rewrites;
   size_t records_replayed = 0;
   /// Pages actually rewritten (lists whose pages were already current
   /// are filtered out by the page-LSN check).
@@ -211,15 +165,14 @@ struct RecoveryResult {
 };
 
 /// \brief Redo pass over a reopened Wal: replays every recovered record
-/// into its store and syncs the touched devices. Records naming a
-/// store_id absent from both maps are an error (recovery must never
-/// silently drop durable state). Idempotent: running it again — e.g.
-/// after a crash DURING recovery — converges to the same state.
+/// into its store and syncs the touched devices. A record of any type
+/// but kUpdate, or naming a store_id absent from `knn_stores`, is
+/// Corruption (recovery must never silently drop durable state).
+/// Idempotent: running it again — e.g. after a crash DURING recovery —
+/// converges to the same state.
 Result<RecoveryResult> RecoverStores(
     const storage::Wal& wal,
-    const std::unordered_map<uint32_t, KnnRecoveryTarget>& knn_stores,
-    const std::unordered_map<uint32_t, LabelRecoveryTarget>& label_stores =
-        {});
+    const std::unordered_map<uint32_t, KnnRecoveryTarget>& knn_stores);
 
 }  // namespace grnn::core
 

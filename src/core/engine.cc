@@ -406,9 +406,7 @@ Result<RknnEngine> RknnEngine::Create(const EngineSources& sources) {
   } else if (sources.hub_labels != nullptr) {
     // Initial derivation of the inverted point indices; the engine is
     // still single-owner here, so no domain locks are needed.
-    std::unique_lock<std::mutex> pool_lock;
-    common::ThreadPool* build_pool = engine.IndexBuildPool(pool_lock);
-    GRNN_RETURN_NOT_OK(engine.RebuildHubIndexesLocked(build_pool));
+    GRNN_RETURN_NOT_OK(engine.RebuildHubIndexesLocked());
   }
   if (sources.metrics != nullptr) {
     // Bridge every engine-side stat struct into the registry via one
@@ -560,29 +558,24 @@ Status RknnEngine::InitSnapshotWorld() {
     }
   }
   if (src_.hub_labels != nullptr) {
-    std::unique_lock<std::mutex> pool_lock;
-    common::ThreadPool* build_pool = IndexBuildPool(pool_lock);
     if (v->points != nullptr) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->points,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *v->points));
       v->hub_points =
           std::make_shared<index::HubPointIndex>(std::move(idx));
     }
     if (v->sites != nullptr) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->sites,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *v->sites));
       v->hub_sites =
           std::make_shared<index::HubPointIndex>(std::move(idx));
     }
     if (v->edge_points != nullptr) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->edge_points,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *v->edge_points));
       v->hub_edge_points =
           std::make_shared<index::HubPointIndex>(std::move(idx));
     }
@@ -646,40 +639,25 @@ std::vector<obs::SlowQuery> RknnEngine::DrainSlowQueries() {
   return state_->slow_log.Drain();
 }
 
-common::ThreadPool* RknnEngine::IndexBuildPool(
-    std::unique_lock<std::mutex>& lock) {
-  if (src_.index_build_threads <= 1) {
-    return nullptr;
-  }
-  lock = std::unique_lock<std::mutex>(state_->workers_mu);
-  if (state_->workers == nullptr ||
-      state_->workers->num_threads() < src_.index_build_threads) {
-    state_->workers =
-        std::make_unique<common::ThreadPool>(src_.index_build_threads);
-  }
-  return state_->workers.get();
-}
-
-Status RknnEngine::RebuildHubIndexesLocked(common::ThreadPool* pool) {
+Status RknnEngine::RebuildHubIndexesLocked() {
   if (src_.points != nullptr) {
     GRNN_ASSIGN_OR_RETURN(
         index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.points, pool));
+        index::HubPointIndex::Build(*src_.hub_labels, *src_.points));
     state_->hub_points =
         std::make_unique<index::HubPointIndex>(std::move(idx));
   }
   if (src_.sites != nullptr) {
     GRNN_ASSIGN_OR_RETURN(
         index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.sites, pool));
+        index::HubPointIndex::Build(*src_.hub_labels, *src_.sites));
     state_->hub_sites =
         std::make_unique<index::HubPointIndex>(std::move(idx));
   }
   if (src_.edge_points != nullptr) {
     GRNN_ASSIGN_OR_RETURN(
         index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.edge_points,
-                                    pool));
+        index::HubPointIndex::Build(*src_.hub_labels, *src_.edge_points));
     state_->hub_edge =
         std::make_unique<index::HubPointIndex>(std::move(idx));
   }
@@ -692,11 +670,6 @@ Status RknnEngine::RebuildIndex() {
     return Status::FailedPrecondition(
         "engine has no hub-label index (EngineSources::hub_labels)");
   }
-  // Pool lock BEFORE domain locks: RunBatchParallel holds workers_mu
-  // across query dispatch (which takes domain shared locks), so that is
-  // the engine-wide lock order.
-  std::unique_lock<std::mutex> pool_lock;
-  common::ThreadPool* build_pool = IndexBuildPool(pool_lock);
   if (src_.snapshot_reads) {
     // Exclusive on every indexed domain (domain index order) blocks
     // only WRITERS of those domains while the indices derive; readers
@@ -715,22 +688,19 @@ Status RknnEngine::RebuildIndex() {
     if (base->points != nullptr) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->points,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *base->points));
       hub_points = std::make_shared<index::HubPointIndex>(std::move(idx));
     }
     if (base->sites != nullptr) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->sites,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *base->sites));
       hub_sites = std::make_shared<index::HubPointIndex>(std::move(idx));
     }
     if (base->edge_points != nullptr) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->edge_points,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *base->edge_points));
       hub_edge = std::make_shared<index::HubPointIndex>(std::move(idx));
     }
     PublishVersion([&](serve::WorldVersion& v) {
@@ -778,22 +748,19 @@ Status RknnEngine::RebuildIndex() {
     if (points_copy.has_value()) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *points_copy,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *points_copy));
       new_points = std::make_unique<index::HubPointIndex>(std::move(idx));
     }
     if (sites_copy.has_value()) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *sites_copy,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *sites_copy));
       new_sites = std::make_unique<index::HubPointIndex>(std::move(idx));
     }
     if (edge_copy.has_value()) {
       GRNN_ASSIGN_OR_RETURN(
           index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *edge_copy,
-                                      build_pool));
+          index::HubPointIndex::Build(*src_.hub_labels, *edge_copy));
       new_edge = std::make_unique<index::HubPointIndex>(std::move(idx));
     }
     std::unique_lock<std::shared_mutex> points_lock(
@@ -818,7 +785,7 @@ Status RknnEngine::RebuildIndex() {
       state_->domain_mu[kDomainSites]);
   std::unique_lock<std::shared_mutex> edge_lock(
       state_->domain_mu[kDomainEdge]);
-  Status rebuilt = RebuildHubIndexesLocked(build_pool);
+  Status rebuilt = RebuildHubIndexesLocked();
   if (rebuilt.ok()) {
     state_->hub_rebuilds.fetch_add(1, std::memory_order_relaxed);
   }

@@ -251,12 +251,6 @@ struct EngineSources {
   ///     nothing, so even the mid-maintenance error cases of
   ///     ApplyUpdate leave the served world untouched.
   bool snapshot_reads = false;
-  /// Worker threads for building the derived hub point indices (Create
-  /// and RebuildIndex — recovery rebuilds included). <= 1 builds
-  /// serially; more threads borrow the engine's worker pool (growing it
-  /// if needed). Parallel builds are bit-identical to serial ones, so
-  /// this is purely a latency knob.
-  int index_build_threads = 1;
   /// \brief Optional process-wide metrics registry (src/obs/). When
   /// set, Create registers a collector that bridges every engine-side
   /// counter — lifetime EngineStats, buffer-pool per-shard IoStats,
@@ -493,19 +487,8 @@ class RknnEngine {
 
   /// Rebuild body shared by Create and RebuildIndex; caller holds the
   /// exclusive locks of every indexed domain (or is still
-  /// single-owner). A non-null `pool` parallelizes the builds
-  /// (bit-identical results).
-  Status RebuildHubIndexesLocked(common::ThreadPool* pool);
-
-  /// Worker pool for parallel index (re)builds: null when
-  /// index_build_threads <= 1; otherwise locks `lock` onto the engine's
-  /// worker-team mutex and returns the (created or grown) shared pool.
-  /// The lock must stay held for the whole build — RunBatchParallel
-  /// REPLACES an undersized pool, which would tear down workers
-  /// mid-build otherwise. Lock order: workers_mu is acquired BEFORE any
-  /// domain lock (same order as RunBatchParallel, which holds it across
-  /// query dispatch), so call this before taking domain locks.
-  common::ThreadPool* IndexBuildPool(std::unique_lock<std::mutex>& lock);
+  /// single-owner).
+  Status RebuildHubIndexesLocked();
 
   const EdgePointReader* edge_reader() const {
     return src_.edge_reader != nullptr ? src_.edge_reader

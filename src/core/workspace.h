@@ -23,10 +23,11 @@
 // why main and aux expansions must not share one cursor. The searcher
 // carries a third cursor for the restricted NN primitives.
 //
-// Cursors may hold buffer-pool pins for their last span (the zero-copy
-// StoredGraph lease path). The engine calls ReleaseLeases() at the end
-// of every query so no pin survives a dispatch; standalone callers that
-// invalidate pools between queries should do the same.
+// Neighbor cursors may hold buffer-pool pins for their last span (the
+// zero-copy StoredGraph lease path). The engine calls ReleaseLeases() at
+// the end of every query so no pin survives a dispatch; standalone
+// callers that invalidate pools between queries should do the same.
+// Label cursors never hold a pin (stored labels decode into them).
 //
 // Small per-query transients (the lazy algorithms' per-node bookkeeping
 // maps, result vectors) are intentionally not pooled here; the counters
@@ -72,9 +73,8 @@ class SearchWorkspace {
   IndexedHeap<Weight, std::pair<NodeId, PointId>> ep_heap;  // lazy-EP H'
 
   // --- Label-scan scratch (Algorithm::kHubLabel) ---
-  // Cursors and per-point accumulation state of the hub-label
-  // primitives; their leases over stored label pages follow the same
-  // pin discipline as the neighbor cursors.
+  // Cursor and per-point accumulation state of the hub-label
+  // primitives.
   index::LabelWorkspace labels;
 
   // --- Shared scratch ---
@@ -118,13 +118,12 @@ class SearchWorkspace {
     nbr_cursor.Reset();
     aux_nbr_cursor.Reset();
     searcher.ReleaseLease();
-    labels.ReleaseLeases();
   }
 
   /// Buffer-pool pins currently held by the workspace's cursors.
   size_t held_pins() const {
     return nbr_cursor.held_pins() + aux_nbr_cursor.held_pins() +
-           searcher.held_pins() + labels.held_pins();
+           searcher.held_pins();
   }
 };
 

@@ -1,14 +1,10 @@
 #include "index/hub_label.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
 #include <numeric>
-#include <utility>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/dijkstra.h"
 #include "storage/partitioner.h"
@@ -42,11 +38,9 @@ Weight MergeQuery(std::span<const HubEntry> a, std::span<const HubEntry> b) {
 // CSR adjacency snapshot.
 //
 // The builder walks the graph once through a cursor and then works off
-// plain arrays: every order strategy shares the one degree pass (the old
-// degree probe re-scanned the whole graph per build), traversals skip
-// the NetworkView virtual dispatch + I/O accounting on every relaxation,
-// and — decisive for the parallel build — concurrent Dijkstra roots can
-// scan adjacency without contending on a shared cursor.
+// plain arrays: every order strategy shares the one degree pass, and
+// traversals skip the NetworkView virtual dispatch + I/O accounting on
+// every relaxation.
 struct CsrAdjacency {
   std::vector<size_t> offsets;    // num_nodes + 1
   std::vector<AdjEntry> adj;
@@ -98,13 +92,11 @@ std::vector<NodeId> RandomOrder(NodeId n, uint64_t seed) {
 }
 
 // Sampled Brandes betweenness, descending. Runs a full Dijkstra +
-// dependency accumulation per sampled source; parallel sources
-// accumulate into fixed-point atomics (integer addition is associative,
-// so the total — and therefore the order — is independent of thread
-// interleaving, unlike a double accumulator).
+// dependency accumulation per sampled source. Each dependency is summed
+// in 2^-20 fixed point, so the centrality totals — and the order —
+// depend only on which sources are sampled, never on summation order.
 std::vector<NodeId> BetweennessOrder(const CsrAdjacency& csr, uint64_t seed,
-                                     uint32_t samples, int threads,
-                                     common::ThreadPool* pool) {
+                                     uint32_t samples) {
   const NodeId n = csr.num_nodes();
   std::vector<uint64_t> sources;
   if (samples >= n) {
@@ -116,41 +108,35 @@ std::vector<NodeId> BetweennessOrder(const CsrAdjacency& csr, uint64_t seed,
   }
 
   constexpr double kScale = static_cast<double>(1u << 20);
-  std::vector<std::atomic<int64_t>> centrality(n);
-
-  struct Scratch {
-    graph::DijkstraWorkspace ws;
-    std::vector<double> sigma;   // shortest-path counts from the source
-    std::vector<double> delta;   // dependency accumulator
-    std::vector<NodeId> settled; // pop order
-  };
-  const int workers =
-      pool == nullptr ? 1 : std::min(threads, pool->num_threads());
-  std::vector<Scratch> scratch(static_cast<size_t>(std::max(workers, 1)));
-
-  const auto run_source = [&](Scratch& s, NodeId src) {
-    s.ws.Reset(n);
-    s.sigma.assign(n, 0.0);
-    s.delta.assign(n, 0.0);
-    s.settled.clear();
-    auto& heap = s.ws.heap();
+  std::vector<int64_t> centrality(n, 0);
+  graph::DijkstraWorkspace ws;
+  std::vector<double> sigma;    // shortest-path counts from the source
+  std::vector<double> delta;    // dependency accumulator
+  std::vector<NodeId> settled;  // pop order
+  for (uint64_t s : sources) {
+    const NodeId src = static_cast<NodeId>(s);
+    ws.Reset(n);
+    sigma.assign(n, 0.0);
+    delta.assign(n, 0.0);
+    settled.clear();
+    auto& heap = ws.heap();
     heap.Push(0.0, src);
-    s.ws.SetBest(src, 0.0);
-    s.sigma[src] = 1.0;
+    ws.SetBest(src, 0.0);
+    sigma[src] = 1.0;
     while (!heap.empty()) {
       const auto [dist, u] = heap.Pop();
-      if (dist > s.ws.Best(u)) {
+      if (dist > ws.Best(u)) {
         continue;
       }
-      s.settled.push_back(u);
+      settled.push_back(u);
       for (const AdjEntry& a : csr.Neighbors(u)) {
         const Weight nd = dist + a.weight;
-        if (nd < s.ws.Best(a.node)) {
-          s.ws.SetBest(a.node, nd);
+        if (nd < ws.Best(a.node)) {
+          ws.SetBest(a.node, nd);
           heap.Push(nd, a.node);
-          s.sigma[a.node] = s.sigma[u];
-        } else if (nd == s.ws.Best(a.node)) {
-          s.sigma[a.node] += s.sigma[u];
+          sigma[a.node] = sigma[u];
+        } else if (nd == ws.Best(a.node)) {
+          sigma[a.node] += sigma[u];
         }
       }
     }
@@ -158,42 +144,25 @@ std::vector<NodeId> BetweennessOrder(const CsrAdjacency& csr, uint64_t seed,
     // predecessor of u exactly when the relaxation above set (or tied)
     // u's distance through v, i.e. Best(v) + w == Best(u) in the same
     // FP arithmetic.
-    for (size_t i = s.settled.size(); i-- > 0;) {
-      const NodeId u = s.settled[i];
+    for (size_t i = settled.size(); i-- > 0;) {
+      const NodeId u = settled[i];
       for (const AdjEntry& a : csr.Neighbors(u)) {
         const NodeId v = a.node;
-        if (s.ws.Best(v) + a.weight == s.ws.Best(u) && s.sigma[u] > 0.0) {
-          s.delta[v] += s.sigma[v] / s.sigma[u] * (1.0 + s.delta[u]);
+        if (ws.Best(v) + a.weight == ws.Best(u) && sigma[u] > 0.0) {
+          delta[v] += sigma[v] / sigma[u] * (1.0 + delta[u]);
         }
       }
       if (u != src) {
-        centrality[u].fetch_add(std::llround(s.delta[u] * kScale),
-                                std::memory_order_relaxed);
+        centrality[u] += std::llround(delta[u] * kScale);
       }
     }
-  };
-
-  if (pool == nullptr || workers <= 1 || sources.size() < 2) {
-    for (uint64_t src : sources) {
-      run_source(scratch[0], static_cast<NodeId>(src));
-    }
-  } else {
-    pool->ParallelFor(
-        sources.size(),
-        [&](int worker, size_t i) {
-          run_source(scratch[static_cast<size_t>(worker)],
-                     static_cast<NodeId>(sources[i]));
-        },
-        workers);
   }
 
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), NodeId{0});
   std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const int64_t ca = centrality[a].load(std::memory_order_relaxed);
-    const int64_t cb = centrality[b].load(std::memory_order_relaxed);
-    if (ca != cb) {
-      return ca > cb;
+    if (centrality[a] != centrality[b]) {
+      return centrality[a] > centrality[b];
     }
     return csr.degree[a] != csr.degree[b] ? csr.degree[a] > csr.degree[b]
                                           : a < b;
@@ -202,9 +171,7 @@ std::vector<NodeId> BetweennessOrder(const CsrAdjacency& csr, uint64_t seed,
 }
 
 std::vector<NodeId> HubProcessingOrder(const CsrAdjacency& csr,
-                                       const HubLabelBuildOptions& options,
-                                       int threads,
-                                       common::ThreadPool* pool) {
+                                       const HubLabelBuildOptions& options) {
   switch (options.order) {
     case HubOrder::kDegreeDesc:
       return DegreeOrder(csr);
@@ -215,19 +182,21 @@ std::vector<NodeId> HubProcessingOrder(const CsrAdjacency& csr,
                                             csr.degree);
     case HubOrder::kBetweennessApprox:
       return BetweennessOrder(csr, options.seed,
-                              options.betweenness_samples, threads, pool);
+                              options.betweenness_samples);
   }
   GRNN_CHECK(false);
   return {};
 }
 
 // ---------------------------------------------------------------------
-// Canonical serial build: for each hub in rank order, a pruned Dijkstra
-// appends the uncovered reachable nodes. Returns pruned-pop count.
+// Pruned landmark labeling: for each hub in rank order, a pruned
+// Dijkstra appends the uncovered reachable nodes. Returns pruned-pop
+// count.
 
-uint64_t SerialPll(const CsrAdjacency& csr, std::span<const NodeId> order,
-                   std::vector<std::vector<HubEntry>>& labels,
-                   graph::DijkstraWorkspace& ws) {
+uint64_t PrunedLandmarkLabeling(const CsrAdjacency& csr,
+                                std::span<const NodeId> order,
+                                std::vector<std::vector<HubEntry>>& labels,
+                                graph::DijkstraWorkspace& ws) {
   const NodeId n = csr.num_nodes();
   uint64_t pruned_pops = 0;
 
@@ -285,222 +254,6 @@ uint64_t SerialPll(const CsrAdjacency& csr, std::span<const NodeId> order,
     }
   }
   return pruned_pops;
-}
-
-// ---------------------------------------------------------------------
-// Rank-windowed parallel build.
-//
-// Correctness sketch (bit-identity with SerialPll): take a window
-// [w0, w1) of ranks. Phase A runs each window hub's pruned Dijkstra
-// against the labels FROZEN at rank w0 and records, for every settled
-// pop, the node's frozen cover value — the min over frozen label pairs,
-// a property of (labels[hub], labels[node]) alone, independent of the
-// traversal. Phase B then REPLAYS each hub's pruned Dijkstra serially
-// in rank order against the live labels. A replay's cover test
-// decomposes exactly: live labels differ from frozen ones only by
-// entries whose hub ranks in [w0, rank), which sit in a contiguous
-// suffix of each label (entries append in rank order), so
-//   covered_live = min(covered_frozen, suffix entries via labels[hub])
-// with both parts built from the same sums the serial test would form
-// (min is order-insensitive, so the FP result is identical). The replay
-// therefore expands exactly the nodes SerialPll expands, at the same
-// (possibly detour-inflated) pop distances — the traversal itself is
-// re-run precisely because pruning in weighted graphs gates
-// REACHABILITY, not just label insertion — and appends exactly the
-// serial entries in serial order. Every replay pop has a Phase A
-// record: frozen pruning is weaker than live pruning, so Phase A's
-// expansion is a superset of the replay's at pointwise <= distances.
-// What parallelizes is the dominant O(|L|) cover scans; the replay pays
-// only heap traffic plus an O(window) suffix walk per pop. Memory
-// visibility across phases rides on the pool's internal mutex
-// (happens-before on ParallelFor entry/exit).
-struct ParallelPllOut {
-  uint64_t pruned_pops = 0;
-  uint64_t merge_rejected = 0;
-  double traverse_s = 0.0;
-  double merge_s = 0.0;
-  size_t windows = 0;
-};
-
-ParallelPllOut ParallelPll(const CsrAdjacency& csr,
-                           std::span<const NodeId> order, int threads,
-                           uint32_t window_opt, common::ThreadPool* pool,
-                           std::vector<std::vector<HubEntry>>& labels) {
-  const NodeId n = csr.num_nodes();
-  const int workers = std::min(threads, pool->num_threads());
-  const size_t window_size =
-      window_opt > 0 ? window_opt : static_cast<size_t>(4 * workers);
-
-  // One settled Phase A pop: the node and its cover value under the
-  // window-start labels (kInfinity when uncovered).
-  struct PopRecord {
-    NodeId node;
-    Weight covered;
-  };
-  struct Worker {
-    graph::DijkstraWorkspace ws;
-    std::vector<Weight> hub_dist;
-    std::vector<NodeId> touched;
-    uint64_t pruned_pops = 0;
-  };
-  std::vector<Worker> worker_state(static_cast<size_t>(workers));
-  for (Worker& w : worker_state) {
-    w.hub_dist.assign(n, kInfinity);
-  }
-  std::vector<std::vector<PopRecord>> pops(window_size);
-
-  // rank_of[v] = position of v in the hub order; the replay uses it to
-  // find the same-window suffix of a label.
-  std::vector<uint32_t> rank_of(n);
-  for (size_t i = 0; i < order.size(); ++i) {
-    rank_of[order[i]] = static_cast<uint32_t>(i);
-  }
-
-  // Replay-side scratch (main thread only).
-  graph::DijkstraWorkspace replay_ws;
-  std::vector<Weight> hub_dist(n, kInfinity);
-  std::vector<NodeId> touched;
-  std::vector<Weight> frozen_cov(n, 0);
-  std::vector<uint8_t> has_cov(n, 0);
-  std::vector<NodeId> cov_touched;
-
-  ParallelPllOut out;
-  WallTimer timer;
-  for (size_t w0 = 0; w0 < order.size(); w0 += window_size) {
-    const size_t slots = std::min(window_size, order.size() - w0);
-    ++out.windows;
-
-    // Phase A: per-root pruned Dijkstras against the frozen labels,
-    // recording every settled pop's frozen cover value.
-    timer.Reset();
-    pool->ParallelFor(
-        slots,
-        [&](int worker, size_t slot) {
-          Worker& me = worker_state[static_cast<size_t>(worker)];
-          const NodeId hub = order[w0 + slot];
-          std::vector<PopRecord>& rec = pops[slot];
-          rec.clear();
-          me.touched.clear();
-          for (const HubEntry& e : labels[hub]) {
-            me.hub_dist[e.hub] = e.dist;
-            me.touched.push_back(e.hub);
-          }
-          me.ws.Reset(n);
-          auto& heap = me.ws.heap();
-          heap.Push(0.0, hub);
-          me.ws.SetBest(hub, 0.0);
-          while (!heap.empty()) {
-            const auto [dist, node] = heap.Pop();
-            if (dist > me.ws.Best(node)) {
-              continue;  // stale entry; settled at a smaller key
-            }
-            Weight covered = kInfinity;
-            for (const HubEntry& e : labels[node]) {
-              const Weight via = me.hub_dist[e.hub];
-              if (via != kInfinity && via + e.dist < covered) {
-                covered = via + e.dist;
-              }
-            }
-            rec.push_back(PopRecord{node, covered});
-            if (covered <= dist) {
-              ++me.pruned_pops;
-              continue;
-            }
-            for (const AdjEntry& a : csr.Neighbors(node)) {
-              const Weight nd = dist + a.weight;
-              if (nd < me.ws.Best(a.node)) {
-                me.ws.SetBest(a.node, nd);
-                heap.Push(nd, a.node);
-              }
-            }
-          }
-          for (NodeId t : me.touched) {
-            me.hub_dist[t] = kInfinity;
-          }
-        },
-        workers);
-    out.traverse_s += timer.ElapsedSeconds();
-
-    // Phase B: serial rank-order replay against the live labels. The
-    // cover test is covered_frozen (Phase A's record) corrected by the
-    // label entries this window appended — bit-equal to the serial
-    // test, at replay cost O(heap + window) per pop instead of O(|L|).
-    timer.Reset();
-    for (size_t slot = 0; slot < slots; ++slot) {
-      const NodeId hub = order[w0 + slot];
-      cov_touched.clear();
-      for (const PopRecord& r : pops[slot]) {
-        frozen_cov[r.node] = r.covered;
-        has_cov[r.node] = 1;
-        cov_touched.push_back(r.node);
-      }
-      touched.clear();
-      for (const HubEntry& e : labels[hub]) {
-        hub_dist[e.hub] = e.dist;
-        touched.push_back(e.hub);
-      }
-      replay_ws.Reset(n);
-      auto& heap = replay_ws.heap();
-      heap.Push(0.0, hub);
-      replay_ws.SetBest(hub, 0.0);
-      while (!heap.empty()) {
-        const auto [dist, node] = heap.Pop();
-        if (dist > replay_ws.Best(node)) {
-          continue;
-        }
-        const std::vector<HubEntry>& lab = labels[node];
-        Weight covered;
-        if (has_cov[node]) {
-          covered = frozen_cov[node];
-          // Same-window additions form a suffix (labels append in rank
-          // order); pair them against the live labels[hub] distances.
-          for (size_t i = lab.size(); i-- > 0;) {
-            const HubEntry& e = lab[i];
-            if (rank_of[e.hub] < w0) {
-              break;
-            }
-            const Weight via = hub_dist[e.hub];
-            if (via != kInfinity && via + e.dist < covered) {
-              covered = via + e.dist;
-            }
-          }
-        } else {
-          // Unreachable by the superset argument; the full live scan
-          // keeps the replay correct regardless.
-          covered = kInfinity;
-          for (const HubEntry& e : lab) {
-            const Weight via = hub_dist[e.hub];
-            if (via != kInfinity && via + e.dist < covered) {
-              covered = via + e.dist;
-            }
-          }
-        }
-        if (covered <= dist) {
-          ++out.merge_rejected;
-          continue;
-        }
-        labels[node].push_back(HubEntry{hub, dist});
-        for (const AdjEntry& a : csr.Neighbors(node)) {
-          const Weight nd = dist + a.weight;
-          if (nd < replay_ws.Best(a.node)) {
-            replay_ws.SetBest(a.node, nd);
-            heap.Push(nd, a.node);
-          }
-        }
-      }
-      for (NodeId t : touched) {
-        hub_dist[t] = kInfinity;
-      }
-      for (NodeId t : cov_touched) {
-        has_cov[t] = 0;
-      }
-    }
-    out.merge_s += timer.ElapsedSeconds();
-  }
-  for (const Worker& w : worker_state) {
-    out.pruned_pops += w.pruned_pops;
-  }
-  return out;
 }
 
 }  // namespace
@@ -572,13 +325,10 @@ Weight HubLabelIndex::Query(NodeId u, NodeId v) const {
 }
 
 Result<std::span<const HubEntry>> HubLabelIndex::Scan(
-    NodeId n, LabelCursor& cursor) const {
+    NodeId n, LabelCursor& /*cursor: the CSR serves its own arrays*/) const {
   if (n >= num_nodes()) {
     return Status::OutOfRange("node id out of range");
   }
-  // Invalidate the cursor's previous span (it may pin another store's
-  // pages); the CSR itself needs no lease.
-  cursor.Reset();
   return Label(n);
 }
 
@@ -595,43 +345,17 @@ Result<HubLabelIndex> HubLabelBuilder::Build(
     return Status::InvalidArgument("cannot label an empty graph");
   }
 
-  int threads = std::max(options.num_threads, 1);
-  std::unique_ptr<common::ThreadPool> local_pool;
-  common::ThreadPool* pool = nullptr;
-  if (threads > 1) {
-    pool = options.pool;
-    if (pool == nullptr) {
-      local_pool = std::make_unique<common::ThreadPool>(threads);
-      pool = local_pool.get();
-    }
-    threads = std::min(threads, pool->num_threads());
-  }
-
   WallTimer timer;
   graph::DijkstraWorkspace ws;
   GRNN_ASSIGN_OR_RETURN(const CsrAdjacency csr, MaterializeCsr(g, ws));
-  const std::vector<NodeId> order =
-      HubProcessingOrder(csr, options, threads, pool);
+  const std::vector<NodeId> order = HubProcessingOrder(csr, options);
   const double order_s = timer.ElapsedSeconds();
 
   std::vector<std::vector<HubEntry>> labels(n);
-  ParallelPllOut par;
   timer.Reset();
-  if (threads <= 1) {
-    par.pruned_pops = SerialPll(csr, order, labels, ws);
-    par.traverse_s = timer.ElapsedSeconds();
-  } else {
-    par = ParallelPll(csr, order, threads, options.window, pool, labels);
-    if (options.verify_canonical) {
-      std::vector<std::vector<HubEntry>> canonical(n);
-      SerialPll(csr, order, canonical, ws);
-      if (labels != canonical) {
-        return Status::Internal(
-            "parallel hub-label build diverged from the canonical serial "
-            "build");
-      }
-    }
-  }
+  const uint64_t pruned_pops =
+      PrunedLandmarkLabeling(csr, order, labels, ws);
+  const double traverse_s = timer.ElapsedSeconds();
 
   timer.Reset();
   HubLabelIndex idx;
@@ -658,14 +382,10 @@ Result<HubLabelIndex> HubLabelBuilder::Build(
     stats->avg_label_size =
         static_cast<double>(total) / static_cast<double>(n);
     stats->max_label_size = max_label;
-    stats->pruned_pops = par.pruned_pops;
-    stats->merge_rejected = par.merge_rejected;
+    stats->pruned_pops = pruned_pops;
     stats->order_s = order_s;
-    stats->traverse_s = par.traverse_s;
-    stats->merge_s = par.merge_s;
+    stats->traverse_s = traverse_s;
     stats->finalize_s = timer.ElapsedSeconds();
-    stats->threads = threads;
-    stats->windows = par.windows;
   }
   return idx;
 }

@@ -13,10 +13,11 @@
 //
 // The subsystem mirrors the repo's neighbor-access architecture
 // (graph/network_view.h): labels are scanned through an abstract
-// LabelStore with a cursor/lease model, so the RkNN primitives run
-// unchanged against the in-memory HubLabelIndex and the paged on-disk
-// LabelFile (index/label_file.h, zero-copy spans out of pinned buffer
-// pool frames).
+// LabelStore with a cursor model, so the RkNN primitives run unchanged
+// against the in-memory HubLabelIndex (zero-copy spans into its arrays)
+// and the paged on-disk LabelFile (index/label_file.h, decoded into the
+// cursor). One layout in memory (HubEntry runs), one format on disk,
+// one serial builder.
 //
 // Staleness contract: labels depend only on the GRAPH, which is immutable
 // for the lifetime of an engine; they never go stale. The derived
@@ -29,9 +30,7 @@
 #define GRNN_INDEX_HUB_LABEL_H_
 
 #include <cstddef>
-#include <memory>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -39,19 +38,11 @@
 #include "common/types.h"
 #include "graph/network_view.h"
 
-namespace grnn::common {
-class ThreadPool;
-}
-
 namespace grnn::index {
 
-class LabelFile;            // may install a page lease into a LabelCursor
-class PackedHubLabelIndex;  // decodes SoA labels into a LabelCursor
+class LabelFile;  // decodes stored labels into a LabelCursor
 
 /// One label entry: a hub node and the exact network distance to it.
-/// Deliberately layout-identical to AdjEntry (16 bytes, distance at
-/// offset 8) so the on-disk LabelFile can serve records zero-copy with
-/// the same v2 page discipline as storage::GraphFile.
 struct HubEntry {
   NodeId hub = kInvalidNode;
   Weight dist = 0;
@@ -59,54 +50,28 @@ struct HubEntry {
   friend bool operator==(const HubEntry&, const HubEntry&) = default;
 };
 
-static_assert(std::is_trivially_copyable_v<HubEntry>);
-static_assert(sizeof(HubEntry) == 16, "label records are 16 bytes");
-static_assert(offsetof(HubEntry, hub) == 0);
-static_assert(offsetof(HubEntry, dist) == 8);
-static_assert(alignof(HubEntry) == 8);
-
-/// \brief Per-scan label read state: a reusable decode buffer and the
-/// lease backing the most recent span — the LabelStore counterpart of
-/// graph::NeighborCursor, with the same lifetime rules: the span
-/// returned by Scan stays valid until the next Scan through the same
-/// cursor, Reset(), or destruction. Single-owner mutable state.
+/// \brief Per-scan label read state: a reusable decode buffer — the
+/// LabelStore counterpart of graph::NeighborCursor. The span returned
+/// by Scan stays valid until the next Scan through the same cursor or
+/// its destruction. A cursor never holds a buffer-pool pin: stored
+/// labels are decoded into it before Scan returns. Single-owner mutable
+/// state.
 class LabelCursor {
  public:
-  LabelCursor() = default;
-  LabelCursor(LabelCursor&&) noexcept = default;
-  LabelCursor& operator=(LabelCursor&&) noexcept = default;
-  LabelCursor(const LabelCursor&) = delete;
-  LabelCursor& operator=(const LabelCursor&) = delete;
-  ~LabelCursor() = default;  // lease destructor releases any pins
-
-  /// Invalidates the last span: drops held pins, keeps scratch capacity.
-  void Reset() {
-    if (lease_ != nullptr) {
-      lease_->Drop();
-    }
-  }
-
-  /// Buffer-pool pins currently held on behalf of the last span.
-  size_t held_pins() const {
-    return lease_ == nullptr ? 0 : lease_->num_pins();
-  }
-
   /// Element capacity of the decode buffer (workspace-growth accounting).
   size_t scratch_capacity() const { return scratch_.capacity(); }
 
  private:
   friend class LabelFile;
-  friend class PackedHubLabelIndex;
 
   std::vector<HubEntry> scratch_;
-  std::unique_ptr<graph::NeighborLease> lease_;
 };
 
 /// \brief Abstract label access for the RkNN-via-labels primitives.
 ///
 /// Two implementations: HubLabelIndex (in-memory CSR; Scan returns a
 /// span straight into the arrays) and StoredLabelIndex
-/// (index/label_file.h; Scan may lease a pinned buffer-pool frame).
+/// (index/label_file.h; Scan decodes into the cursor).
 class LabelStore {
  public:
   virtual ~LabelStore() = default;
@@ -116,8 +81,8 @@ class LabelStore {
   virtual size_t num_entries() const = 0;
 
   /// Scans the label of `n`, sorted by hub id. The span is valid until
-  /// the next Scan through `cursor`, cursor Reset, or cursor
-  /// destruction. Disk-backed implementations charge buffer-pool I/O.
+  /// the next Scan through `cursor` or its destruction. Disk-backed
+  /// implementations charge buffer-pool I/O.
   virtual Result<std::span<const HubEntry>> Scan(
       NodeId n, LabelCursor& cursor) const = 0;
 };
@@ -167,7 +132,7 @@ class VirtualLabelBuffers {
 /// stored label's span dies with the next scan through `cursor` — and
 /// the copies are k-way merged in O(S log m) for S entries over m
 /// nodes. The span stays valid until the next call with the same
-/// `cursor` or `buffers`, or a Scan/Reset of `cursor`.
+/// `cursor` or `buffers`, or a Scan through `cursor`.
 ///
 /// Taking the minimum before adding a further distance b is bit-exact:
 /// IEEE rounding is monotone, so fl(min_i a_i + b) = min_i fl(a_i + b).
@@ -237,47 +202,18 @@ struct HubLabelBuildStats {
   size_t num_entries = 0;
   double avg_label_size = 0.0;
   size_t max_label_size = 0;
-  /// Dijkstra pops discarded by the cover test. The parallel build
-  /// counts its (more optimistic) discovery-phase pops, so absolute
-  /// values differ from a serial build of the same world; the labels do
-  /// not.
-  uint64_t pruned_pops = 0;
-  /// Pops the parallel build's rank-order replay pruned — the serial
-  /// prune decisions re-applied against the live labels (always 0 for
-  /// serial builds).
-  uint64_t merge_rejected = 0;
-  double order_s = 0.0;     // CSR materialization + hub-order computation
-  double traverse_s = 0.0;  // pruned Dijkstra traversals
-  double merge_s = 0.0;     // rank-windowed candidate merge (parallel)
-  double finalize_s = 0.0;  // per-node hub-id sort + CSR packing
-  int threads = 1;          // workers the traversal phase actually used
-  size_t windows = 0;       // rank windows processed (0 when serial)
+  uint64_t pruned_pops = 0;  // Dijkstra pops discarded by the cover test
+  double order_s = 0.0;      // CSR materialization + hub-order computation
+  double traverse_s = 0.0;   // pruned Dijkstra traversals
+  double finalize_s = 0.0;   // per-node hub-id sort + CSR packing
 };
 
 struct HubLabelBuildOptions {
   HubOrder order = HubOrder::kDegreeDesc;
   /// Seed for HubOrder::kRandom and the kBetweennessApprox sampler.
   uint64_t seed = 42;
-  /// Dijkstra roots fanned out concurrently; <= 1 selects the canonical
-  /// serial build on the calling thread. Any value yields bit-identical
-  /// labels (see the class comment for the protocol).
-  int num_threads = 1;
-  /// Hubs per rank window of the parallel build; 0 picks a default
-  /// proportional to num_threads. Tuning knob only — every window size
-  /// produces the same labels.
-  uint32_t window = 0;
   /// Shortest-path source samples for HubOrder::kBetweennessApprox.
   uint32_t betweenness_samples = 64;
-  /// Opt-in cross-check: after a parallel build, rebuild serially and
-  /// require bit-identical labels (Status::Internal on divergence).
-  /// Expensive — meant for tests and bench ablations.
-  bool verify_canonical = false;
-  /// Worker pool to borrow for parallel phases; nullptr makes the
-  /// builder spin up a temporary pool of num_threads workers. The
-  /// builder never calls ParallelFor from inside a task, so an engine
-  /// pool can be lent safely (core/engine.cc holds workers_mu while a
-  /// build borrows it).
-  common::ThreadPool* pool = nullptr;
 };
 
 /// \brief Pruned landmark labeling over any NetworkView.
@@ -287,21 +223,7 @@ struct HubLabelBuildOptions {
 /// already cover the pair at no greater distance. The result is a
 /// canonical 2-hop cover: with `<=` pruning the label set is a pure
 /// function of (graph, hub order), so identical inputs and options yield
-/// bit-identical labels.
-///
-/// The parallel build exploits exactly that canonicity with a
-/// rank-windowed two-phase protocol. Hubs are processed in rank windows;
-/// within a window, per-root pruned Dijkstras run concurrently against
-/// the FROZEN labels committed by earlier windows (pruning weaker than
-/// serial, never stronger), recording every settled pop's frozen cover
-/// value. A serial pass then REPLAYS each hub's pruned traversal in
-/// rank order against the live labels — the traversal must be re-run
-/// because pruning gates reachability, not just insertion — but its
-/// cover test reduces to the recorded frozen value corrected by the
-/// handful of same-window label entries, so the expensive O(|L|) scans
-/// stay parallel. The result is bit-identical to the serial build for
-/// any thread count and window size (enforceable via
-/// HubLabelBuildOptions::verify_canonical).
+/// bit-identical labels. The build runs serially on the calling thread.
 class HubLabelBuilder {
  public:
   static Result<HubLabelIndex> Build(

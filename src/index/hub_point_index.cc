@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace grnn::index {
 
 namespace {
@@ -18,29 +16,11 @@ bool EntryLess(const HubPointIndex::Entry& a,
 }
 
 /// Sorts the non-empty runs and publishes them as shared immutable
-/// lists, fanning the per-hub sorts out when a pool is available (each
-/// task owns its run; the publish stays on the calling thread).
-void PublishRuns(std::vector<HubPointIndex::Run>& runs,
-                 std::vector<std::shared_ptr<const HubPointIndex::Run>>& lists,
-                 common::ThreadPool* pool) {
+/// lists.
+void PublishRuns(
+    std::vector<HubPointIndex::Run>& runs,
+    std::vector<std::shared_ptr<const HubPointIndex::Run>>& lists) {
   const NodeId n = static_cast<NodeId>(runs.size());
-  if (pool != nullptr && pool->num_threads() > 1) {
-    std::vector<NodeId> busy;
-    for (NodeId h = 0; h < n; ++h) {
-      if (!runs[h].empty()) {
-        busy.push_back(h);
-      }
-    }
-    pool->ParallelFor(busy.size(), [&](int, size_t i) {
-      auto& run = runs[busy[i]];
-      std::sort(run.begin(), run.end(), EntryLess);
-    });
-    for (NodeId h : busy) {
-      lists[h] = std::make_shared<const HubPointIndex::Run>(
-          std::move(runs[h]));
-    }
-    return;
-  }
   for (NodeId h = 0; h < n; ++h) {
     if (runs[h].empty()) {
       continue;
@@ -51,44 +31,14 @@ void PublishRuns(std::vector<HubPointIndex::Run>& runs,
   }
 }
 
-/// Fills one run per hub from one occurrence label per live point:
-/// `occurrences(p, cursor, buffers)` yields p's hub-sorted (h, d(h, p))
-/// list and `host(p)` the node its entries record. A pool fans the
-/// label scans out (per-worker cursors and buffers; stores are safe for
-/// concurrent reads); the scatter into runs stays serial in live-point
-/// order, so the runs fill exactly as a serial build's would.
+/// Fills one run per hub from one occurrence label per live point, in
+/// live-point order: `occurrences(p, cursor, buffers)` yields p's
+/// hub-sorted (h, d(h, p)) list and `host(p)` the node its entries
+/// record.
 template <typename Occurrences, typename Host>
 Status ScatterRuns(const std::vector<PointId>& live, Occurrences occurrences,
-                   Host host, common::ThreadPool* pool,
-                   std::vector<HubPointIndex::Run>& runs,
+                   Host host, std::vector<HubPointIndex::Run>& runs,
                    size_t* num_entries) {
-  if (pool != nullptr && pool->num_threads() > 1 && live.size() > 1) {
-    const size_t workers = static_cast<size_t>(pool->num_threads());
-    std::vector<LabelCursor> cursors(workers);
-    std::vector<VirtualLabelBuffers> buffers(workers);
-    std::vector<std::vector<HubEntry>> lists(live.size());
-    std::vector<Status> errors(live.size(), Status::OK());
-    pool->ParallelFor(live.size(), [&](int worker, size_t i) {
-      const size_t w = static_cast<size_t>(worker);
-      auto list = occurrences(live[i], cursors[w], buffers[w]);
-      if (!list.ok()) {
-        errors[i] = std::move(list).status();
-        return;
-      }
-      lists[i].assign(list->begin(), list->end());
-    });
-    for (size_t i = 0; i < live.size(); ++i) {
-      GRNN_RETURN_NOT_OK(errors[i]);
-    }
-    for (size_t i = 0; i < live.size(); ++i) {
-      const NodeId node = host(live[i]);
-      for (const HubEntry& e : lists[i]) {
-        runs[e.hub].push_back(HubPointIndex::Entry{e.dist, live[i], node});
-      }
-      *num_entries += lists[i].size();
-    }
-    return Status::OK();
-  }
   LabelCursor cursor;
   VirtualLabelBuffers buffers;
   for (PointId p : live) {
@@ -106,8 +56,7 @@ Status ScatterRuns(const std::vector<PointId>& live, Occurrences occurrences,
 }  // namespace
 
 Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
-                                           const core::NodePointSet& points,
-                                           common::ThreadPool* pool) {
+                                           const core::NodePointSet& points) {
   if (labels.num_nodes() != points.num_nodes()) {
     return Status::InvalidArgument(
         "label store and point set cover different node counts");
@@ -122,15 +71,14 @@ Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
       [&](PointId p, LabelCursor& cursor, VirtualLabelBuffers&) {
         return labels.Scan(points.NodeOf(p), cursor);
       },
-      [&](PointId p) { return points.NodeOf(p); }, pool, runs,
+      [&](PointId p) { return points.NodeOf(p); }, runs,
       &idx.num_entries_));
-  PublishRuns(runs, idx.lists_, pool);
+  PublishRuns(runs, idx.lists_);
   return idx;
 }
 
 Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
-                                           const core::EdgePointSet& points,
-                                           common::ThreadPool* pool) {
+                                           const core::EdgePointSet& points) {
   HubPointIndex idx;
   idx.lists_.resize(labels.num_nodes());
   idx.num_points_ = points.num_points();
@@ -143,9 +91,9 @@ Result<HubPointIndex> HubPointIndex::Build(const LabelStore& labels,
                                points.EdgeWeightOfPoint(p), cursor,
                                buffers);
       },
-      [&](PointId p) { return points.PositionOf(p).u; }, pool, runs,
+      [&](PointId p) { return points.PositionOf(p).u; }, runs,
       &idx.num_entries_));
-  PublishRuns(runs, idx.lists_, pool);
+  PublishRuns(runs, idx.lists_);
   return idx;
 }
 

@@ -65,20 +65,14 @@ class HubPointIndex {
 
   /// Builds the inverted lists by scanning the label of every live
   /// point's hosting node (disk-backed stores charge their pool here).
-  /// A non-null `pool` parallelizes the label scans (per-worker
-  /// cursors; buffer pools are thread-safe) and the per-hub run sorts;
-  /// the scatter into runs stays serial in live-point order, so the
-  /// result is bit-identical to a serial build.
   static Result<HubPointIndex> Build(const LabelStore& labels,
-                                     const core::NodePointSet& points,
-                                     common::ThreadPool* pool = nullptr);
+                                     const core::NodePointSet& points);
 
   /// Edge-resident population: one occurrence per hub of either
   /// endpoint label of each live point, at
-  /// min(d(u,h) + pos, d(v,h) + w - pos). Same parallel contract.
+  /// min(d(u,h) + pos, d(v,h) + w - pos).
   static Result<HubPointIndex> Build(const LabelStore& labels,
-                                     const core::EdgePointSet& points,
-                                     common::ThreadPool* pool = nullptr);
+                                     const core::EdgePointSet& points);
 
   /// Occurrence run of `hub`, sorted by (dist, point).
   std::span<const Entry> ListOf(NodeId hub) const {

@@ -96,7 +96,6 @@ Status KnnViaLabelsInto(const LabelStore& labels,
   if (stats != nullptr) {
     *stats += local;
   }
-  ws.ReleaseLeases();
 
   std::sort(ws.touched.begin(), ws.touched.end(),
             [&](PointId a, PointId b) {
@@ -190,7 +189,6 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
                 out.stats.label_entries - verify_entries_before);
     verify.Note("results", out.results.size());
   }
-  ws.ReleaseLeases();
 
   std::sort(out.results.begin(), out.results.end(),
             [](const core::PointMatch& a, const core::PointMatch& b) {
@@ -363,7 +361,6 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
                 out.stats.label_entries - verify_entries_before);
     verify.Note("results", out.results.size());
   }
-  ws.ReleaseLeases();
 
   std::sort(out.results.begin(), out.results.end(),
             [](const core::PointMatch& a, const core::PointMatch& b) {

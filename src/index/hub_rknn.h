@@ -25,8 +25,8 @@
 // harness holds it to the brute-force oracle on every seeded world.
 //
 // All scratch state lives in a LabelWorkspace (embedded in
-// core::SearchWorkspace): warm queries allocate nothing, and cursor
-// leases over stored label pages follow the engine's pin discipline.
+// core::SearchWorkspace): warm queries allocate nothing, and label
+// scans hold no buffer-pool pin.
 
 #ifndef GRNN_INDEX_HUB_RKNN_H_
 #define GRNN_INDEX_HUB_RKNN_H_
@@ -42,7 +42,7 @@
 
 namespace grnn::index {
 
-/// \brief Reusable label-scan scratch: cursors for live label spans plus
+/// \brief Reusable label-scan scratch: the cursor for label spans plus
 /// the per-point accumulation state of the sweep/verify phases. Lives in
 /// core::SearchWorkspace; single-owner mutable state, one live query at
 /// a time.
@@ -50,8 +50,6 @@ struct LabelWorkspace {
   /// Sequential label scans (the query sweep, then one scan per
   /// verified candidate). Only one span is live at a time.
   LabelCursor cursor;
-  /// Second live span for pairwise QueryViaStore lookups.
-  LabelCursor aux_cursor;
   /// Merge buffers of the query's virtual label (VirtualLabel).
   VirtualLabelBuffers virtual_label;
   /// Point id -> minimum d(q,h) + d(h,p) seen so far (exact distance
@@ -66,19 +64,9 @@ struct LabelWorkspace {
   std::vector<NodeId> point_node;
 
   size_t CapacityFootprint() const {
-    return cursor.scratch_capacity() + aux_cursor.scratch_capacity() +
-           virtual_label.capacity() + point_dist.capacity() + counted.capacity() +
-           touched.capacity() + point_node.capacity();
-  }
-
-  /// Drops any buffer-pool pins the cursors hold for their last spans.
-  void ReleaseLeases() {
-    cursor.Reset();
-    aux_cursor.Reset();
-  }
-
-  size_t held_pins() const {
-    return cursor.held_pins() + aux_cursor.held_pins();
+    return cursor.scratch_capacity() + virtual_label.capacity() +
+           point_dist.capacity() + counted.capacity() + touched.capacity() +
+           point_node.capacity();
   }
 };
 

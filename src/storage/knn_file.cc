@@ -463,20 +463,4 @@ Result<size_t> KnnFile::ReplayBatch(DiskManager* disk,
   return pages_applied;
 }
 
-Result<uint64_t> KnnFile::PageLsnOf(DiskManager* disk, NodeId n) const {
-  if (n >= num_nodes_) {
-    return Status::OutOfRange(StrPrintf("node %u out of range", n));
-  }
-  size_t data_page = 0;
-  size_t in_page = 0;
-  LocateSlot(n, &data_page, &in_page);
-  std::vector<uint8_t> page(page_size_, 0);
-  GRNN_RETURN_NOT_OK(disk->ReadPage(
-      first_page_ + 1 + static_cast<PageId>(perm_pages_ + data_page),
-      page.data()));
-  KnnPageHeader header;
-  std::memcpy(&header, page.data(), sizeof(header));
-  return header.lsn;
-}
-
 }  // namespace grnn::storage

@@ -169,10 +169,6 @@ class KnnFile {
                              std::span<const NodeListImage> lists,
                              uint64_t lsn) const;
 
-  /// Page LSN of the data page holding (the start of) node `n`'s slot,
-  /// read through `disk`. Exposed for recovery tests.
-  Result<uint64_t> PageLsnOf(DiskManager* disk, NodeId n) const;
-
  private:
   KnnFile() = default;
 

@@ -1,5 +1,5 @@
 // Copyright (c) GRNN authors.
-// Wal: write-ahead log for the stored KNN and label files (PR 7).
+// Wal: write-ahead log for the stored KNN files.
 //
 // The live-update path (core::RknnEngine::ApplyUpdate) used to mutate
 // stored files through the buffer pool with no durability story: a crash
@@ -16,9 +16,8 @@
 //      discipline), so on-disk data pages only ever contain logged
 //      state;
 //   4. on reopen, records with lsn greater than the page's stamped LSN
-//      are replayed (KnnFile::ReplayBatch / LabelFile::ReplayLabel);
-//      the comparison makes redo idempotent — recovering twice equals
-//      recovering once.
+//      are replayed (KnnFile::ReplayBatch); the comparison makes redo
+//      idempotent — recovering twice equals recovering once.
 //
 // On-disk layout (the log lives on its OWN DiskManager, so the
 // fault-injection harness can enumerate and tear its writes like any
@@ -90,9 +89,10 @@ static_assert(sizeof(WalRecordHeader) == 24);
 inline constexpr size_t kWalRecordHeaderBytes = sizeof(WalRecordHeader);
 
 /// Record types understood by the recovery driver (core/durability.h).
+/// Type 2 journaled hub-label rewrites and must not be reused: a log
+/// holding one fails recovery like any unknown type.
 enum class WalRecordType : uint16_t {
-  kUpdate = 1,        // one engine update: logical op + KNN list images
-  kLabelRewrite = 2,  // one hub-label rewrite: node + record images
+  kUpdate = 1,  // one engine update: logical op + KNN list images
 };
 
 /// One decoded record, as returned by Open's scan.

@@ -895,15 +895,13 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   CheckParallelMatchesSerial(up_edge, final_edge_specs, seed);
 }
 
-// The order/parallel phase: labels built with the PARTITION hub order by
-// the PARALLEL rank-windowed builder (cross-checked bit-for-bit against
-// the canonical serial build via verify_canonical) must serve the full
-// kind matrix oracle-exactly through node and edge engines — and a v3
-// delta-layout LabelFile reopened off disk must answer bit-for-bit the
-// same as the in-memory index. The hub order changes label CONTENT, so
-// this phase proves engine correctness is order- and builder-invariant,
-// not an artifact of the default degree order.
-TEST_P(DifferentialHarness, PartitionOrderedParallelLabelsMatchOracle) {
+// The hub-order phase: labels built with the PARTITION hub order must
+// serve the full kind matrix oracle-exactly through node and edge
+// engines — and a LabelFile reopened off disk must answer bit-for-bit
+// the same as the in-memory index. The hub order changes label CONTENT,
+// so this phase proves engine correctness is order-invariant, not an
+// artifact of the default degree order.
+TEST_P(DifferentialHarness, PartitionOrderedLabelsMatchOracle) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("replay: differential_test seed=" + std::to_string(seed) +
                " (partition-order phase)");
@@ -912,15 +910,8 @@ TEST_P(DifferentialHarness, PartitionOrderedParallelLabelsMatchOracle) {
 
   index::HubLabelBuildOptions build_opts;
   build_opts.order = index::HubOrder::kPartition;
-  build_opts.num_threads = 3;
-  build_opts.window = 5;
-  build_opts.verify_canonical = true;  // parallel == serial, bit for bit
-  index::HubLabelBuildStats build_stats;
   auto labels =
-      index::HubLabelBuilder::Build(*w->view, build_opts, &build_stats)
-          .ValueOrDie();
-  EXPECT_GT(build_stats.windows, 0u);
-  EXPECT_EQ(build_stats.threads, 3);
+      index::HubLabelBuilder::Build(*w->view, build_opts).ValueOrDie();
 
   EngineSources sources;
   sources.graph = &*w->view;
@@ -960,17 +951,13 @@ TEST_P(DifferentialHarness, PartitionOrderedParallelLabelsMatchOracle) {
   ASSERT_TRUE(mem_edge_batch.ok());
   EXPECT_EQ(mem_edge_batch->stats.search.hub_fallbacks, 0u);
 
-  // Stored labels in the v3 delta layout, reopened off disk: the
-  // decode-only blob path must reproduce the memory answers exactly.
+  // Stored labels reopened off disk: the decoded blobs must reproduce
+  // the memory answers exactly.
   auto disk = std::make_unique<storage::MemoryDiskManager>(512);
-  auto built =
-      index::LabelFile::Build(labels, disk.get(),
-                              index::LabelLayout::kDelta)
-          .ValueOrDie();
+  auto built = index::LabelFile::Build(labels, disk.get()).ValueOrDie();
   auto file = std::make_unique<index::LabelFile>(
       index::LabelFile::Open(disk.get(), built.first_page())
           .ValueOrDie());
-  ASSERT_EQ(file->layout(), index::LabelLayout::kDelta);
   auto pool = std::make_unique<storage::BufferPool>(disk.get(), 64);
   index::StoredLabelIndex stored(file.get(), pool.get());
   sources.hub_labels = &stored;
@@ -1047,8 +1034,8 @@ TEST_P(DifferentialHarness, CrashRecoveryRestoresAckedStateExactly) {
 // StoredGraph v1/v2 engines, a hub-label phase holding
 // Algorithm::kHubLabel (memory + reopened stored labels, serial +
 // parallel, staleness probe included) to the same oracle, and a
-// partition-order phase re-running that matrix over parallel-built
-// separator-ordered labels served from a v3 delta LabelFile.
+// partition-order phase re-running that matrix over separator-ordered
+// labels served from memory and from a reopened LabelFile.
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialHarness,
                          ::testing::Range(1, 7),
                          ::testing::PrintToStringParamName());

@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/brute_force.h"
 #include "core/bichromatic.h"
 #include "graph/dijkstra.h"
@@ -18,7 +17,6 @@
 #include "index/hub_point_index.h"
 #include "index/hub_rknn.h"
 #include "index/label_file.h"
-#include "index/packed_labels.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "test_fixtures.h"
@@ -153,7 +151,6 @@ TEST(HubLabelIndex, ScanMatchesLabelAndRangeChecks) {
   EXPECT_TRUE(index.Scan(index.num_nodes(), cursor)
                   .status()
                   .IsOutOfRange());
-  EXPECT_EQ(cursor.held_pins(), 0u);
 }
 
 TEST(QueryViaStore, MatchesDirectQuery) {
@@ -206,7 +203,6 @@ TEST(KnnViaLabels, MatchesDijkstraOrderedDistances) {
         }
       }
     }
-    EXPECT_EQ(ws.held_pins(), 0u);
   }
 }
 
@@ -240,7 +236,6 @@ TEST(RknnViaLabels, MonochromaticMatchesBruteForce) {
               .ValueOrDie();
       EXPECT_EQ(Ids(got), Ids(want))
           << "seed=" << seed << " rep=" << rep << " k=" << options.k;
-      EXPECT_EQ(ws.held_pins(), 0u);
     }
   }
 }
@@ -418,7 +413,7 @@ TEST(HubPointIndex, EraseOfUnknownOccurrenceReportsInternal) {
       StatusCode::kInternal);
 }
 
-// --- PR 9: order matrix, parallel bit-identity, packed labels ----------
+// --- Hub-order matrix ---------------------------------------------------
 
 constexpr HubOrder kAllOrders[] = {
     HubOrder::kDegreeDesc, HubOrder::kRandom, HubOrder::kPartition,
@@ -488,144 +483,8 @@ TEST(HubOrderMatrix, BuildStatsReportLabelShapeAndPhases) {
     max_label = std::max(max_label, index.LabelSize(n));
   }
   EXPECT_EQ(stats.max_label_size, max_label);
-  EXPECT_EQ(stats.threads, 1);
-  EXPECT_EQ(stats.windows, 0u);
-  EXPECT_EQ(stats.merge_rejected, 0u);
   EXPECT_GE(stats.order_s, 0.0);
   EXPECT_GE(stats.traverse_s, 0.0);
-}
-
-TEST(ParallelBuild, BitIdenticalToSerialAcrossThreadsAndWindows) {
-  for (uint64_t seed : {24u, 25u}) {
-    Rng rng(seed);
-    auto g = RandomConnectedGraph(60, 0.5, rng, seed % 2 == 1);
-    graph::GraphView view(&g);
-    for (HubOrder order :
-         {HubOrder::kDegreeDesc, HubOrder::kPartition}) {
-      HubLabelBuildOptions serial_opts;
-      serial_opts.order = order;
-      auto serial =
-          HubLabelBuilder::Build(view, serial_opts).ValueOrDie();
-      for (int threads : {2, 4}) {
-        for (uint32_t window : {0u, 1u, 3u, 64u}) {
-          HubLabelBuildOptions options = serial_opts;
-          options.num_threads = threads;
-          options.window = window;
-          HubLabelBuildStats stats;
-          auto parallel =
-              HubLabelBuilder::Build(view, options, &stats).ValueOrDie();
-          ExpectIdenticalLabels(parallel, serial);
-          EXPECT_GT(stats.windows, 0u)
-              << "threads=" << threads << " window=" << window;
-          EXPECT_GT(stats.threads, 1);
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelBuild, VerifyCanonicalPasses) {
-  Rng rng(26);
-  auto g = RandomConnectedGraph(50, 0.6, rng);
-  graph::GraphView view(&g);
-  HubLabelBuildOptions options;
-  options.order = HubOrder::kPartition;
-  options.num_threads = 4;
-  options.verify_canonical = true;
-  auto index = HubLabelBuilder::Build(view, options).ValueOrDie();
-  ExpectAllPairsExact(g, index);
-}
-
-TEST(ParallelBuild, HubPointIndexParallelBuildIsBitIdentical) {
-  common::ThreadPool pool(3);
-  for (uint64_t seed : {27u, 28u}) {
-    Rng rng(seed);
-    auto g = RandomConnectedGraph(50, 0.5, rng, seed % 2 == 0);
-    graph::GraphView view(&g);
-    auto labels = HubLabelBuilder::Build(view).ValueOrDie();
-    auto points = RandomPoints(g.num_nodes(), 12, rng);
-    auto serial = HubPointIndex::Build(labels, points).ValueOrDie();
-    auto parallel =
-        HubPointIndex::Build(labels, points, &pool).ValueOrDie();
-    ExpectIdentical(parallel, serial);
-
-    auto edges = g.CollectEdges();
-    std::vector<core::EdgePosition> positions;
-    for (size_t i = 0; i < 10; ++i) {
-      const Edge& e = edges[rng.UniformInt(edges.size())];
-      positions.push_back({e.u, e.v, rng.Uniform(0.0, e.w)});
-    }
-    auto epoints = core::EdgePointSet::Create(g, positions).ValueOrDie();
-    auto eserial = HubPointIndex::Build(labels, epoints).ValueOrDie();
-    auto eparallel =
-        HubPointIndex::Build(labels, epoints, &pool).ValueOrDie();
-    ExpectIdentical(eparallel, eserial);
-  }
-}
-
-TEST(PackedLabels, QueryMatchesAosIndexOnAllPairs) {
-  for (uint64_t seed : {29u, 30u}) {
-    Rng rng(seed);
-    auto g = RandomConnectedGraph(55, 0.5, rng, seed % 2 == 1);
-    graph::GraphView view(&g);
-    auto labels = HubLabelBuilder::Build(view).ValueOrDie();
-    auto packed = PackedHubLabelIndex::From(labels);
-    ASSERT_EQ(packed.num_nodes(), labels.num_nodes());
-    ASSERT_EQ(packed.num_entries(), labels.num_entries());
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        // Bit-equal, not approximately equal: the SIMD merge must form
-        // the same sums over the same match set.
-        EXPECT_EQ(packed.Query(u, v), labels.Query(u, v))
-            << "u=" << u << " v=" << v;
-      }
-    }
-  }
-}
-
-TEST(PackedLabels, ScanAndQueryViaStoreConform) {
-  Rng rng(31);
-  auto g = RandomConnectedGraph(40, 0.6, rng);
-  graph::GraphView view(&g);
-  auto labels = HubLabelBuilder::Build(view).ValueOrDie();
-  auto packed = PackedHubLabelIndex::From(labels);
-  LabelCursor cursor;
-  for (NodeId n = 0; n < labels.num_nodes(); ++n) {
-    auto span = packed.Scan(n, cursor).ValueOrDie();
-    auto want = labels.Label(n);
-    ASSERT_EQ(span.size(), want.size()) << "node " << n;
-    EXPECT_TRUE(std::equal(span.begin(), span.end(), want.begin()));
-  }
-  EXPECT_EQ(cursor.held_pins(), 0u);
-  LabelCursor cu, cv;
-  for (int i = 0; i < 50; ++i) {
-    NodeId u = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
-    NodeId v = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
-    EXPECT_EQ(QueryViaStore(packed, u, v, cu, cv).ValueOrDie(),
-              labels.Query(u, v));
-  }
-}
-
-TEST(PackedLabels, ServesRknnPrimitives) {
-  // The packed store must be a drop-in LabelStore for the RkNN path.
-  Rng rng(32);
-  auto g = RandomConnectedGraph(50, 0.5, rng);
-  graph::GraphView view(&g);
-  auto points = RandomPoints(g.num_nodes(), 12, rng);
-  auto labels = HubLabelBuilder::Build(view).ValueOrDie();
-  auto packed = PackedHubLabelIndex::From(labels);
-  auto occ = HubPointIndex::Build(packed, points).ValueOrDie();
-  LabelWorkspace ws;
-  for (int rep = 0; rep < 10; ++rep) {
-    core::RknnOptions options;
-    options.k = 1 + rep % 3;
-    NodeId q = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
-    auto got =
-        RknnViaLabels(packed, occ, occ, {&q, 1}, options, ws).ValueOrDie();
-    auto want =
-        core::BruteForceRknn(view, points, {&q, 1}, options).ValueOrDie();
-    EXPECT_EQ(Ids(got), Ids(want)) << "rep=" << rep;
-  }
 }
 
 TEST(HubPointIndex, CopySharesRunsAndPatchClonesOnlyTouchedHubs) {
@@ -686,17 +545,17 @@ graph::Graph TwoComponentGraph(Rng& rng) {
       .ValueOrDie();
 }
 
-// One reopened LabelFile behind an 8-frame pool: copy mode, so every
-// Scan overwrites the cursor buffer the previous span pointed into.
+// One reopened LabelFile behind an 8-frame pool: every Scan overwrites
+// the cursor buffer the previous span pointed into.
 struct ReopenedLabels {
   storage::MemoryDiskManager disk{512};
   std::unique_ptr<LabelFile> file;
   std::unique_ptr<storage::BufferPool> pool;
   std::unique_ptr<StoredLabelIndex> store;
 
-  ReopenedLabels(const HubLabelIndex& labels, LabelLayout layout) {
+  explicit ReopenedLabels(const HubLabelIndex& labels) {
     const PageId first =
-        LabelFile::Build(labels, &disk, layout).ValueOrDie().first_page();
+        LabelFile::Build(labels, &disk).ValueOrDie().first_page();
     file = std::make_unique<LabelFile>(
         LabelFile::Open(&disk, first).ValueOrDie());
     pool = std::make_unique<storage::BufferPool>(&disk, 8);
@@ -704,17 +563,17 @@ struct ReopenedLabels {
   }
 };
 
-// Runs `check` against the in-memory labels and a reopened LabelFile in
-// each layout, all serving the same labels.
+// Runs `check(store, name, pinned)` against the in-memory labels and a
+// reopened LabelFile serving the same labels; `pinned()` reports the
+// buffer-pool pins held right now (always 0 for memory).
 template <typename Check>
 void ForEachStore(const HubLabelIndex& labels, Check check) {
-  check(static_cast<const LabelStore&>(labels), "memory");
-  for (LabelLayout layout : {LabelLayout::kRecords, LabelLayout::kDelta}) {
-    ReopenedLabels reopened(labels, layout);
-    check(static_cast<const LabelStore&>(*reopened.store),
-          layout == LabelLayout::kRecords ? "records" : "delta");
-    EXPECT_EQ(reopened.pool->num_pinned(), 0u);
-  }
+  check(static_cast<const LabelStore&>(labels), "memory",
+        [] { return size_t{0}; });
+  ReopenedLabels reopened(labels);
+  check(static_cast<const LabelStore&>(*reopened.store), "stored",
+        [&] { return reopened.pool->num_pinned(); });
+  EXPECT_EQ(reopened.pool->num_pinned(), 0u);
 }
 
 TEST(MultiNodeSweep, RoutesMatchOracleAndPerNodeMinimumExactly) {
@@ -730,7 +589,8 @@ TEST(MultiNodeSweep, RoutesMatchOracleAndPerNodeMinimumExactly) {
         {2, 30, 11, 40},      // nodes in both components
         {26, 26, 5, 26, 44},  // both: repeats across components
     };
-    ForEachStore(labels, [&](const LabelStore& store, const char* name) {
+    ForEachStore(labels, [&](const LabelStore& store, const char* name,
+                             auto pinned) {
       const auto occ = HubPointIndex::Build(store, points).ValueOrDie();
       LabelWorkspace ws;
       LabelCursor cu, cv;
@@ -745,6 +605,7 @@ TEST(MultiNodeSweep, RoutesMatchOracleAndPerNodeMinimumExactly) {
           EXPECT_EQ(Ids(got), Ids(want))
               << name << " seed=" << seed << " k=" << k
               << " route[0]=" << route[0];
+          EXPECT_EQ(pinned(), 0u) << name;
           for (const core::PointMatch& m : got.results) {
             Weight nearest = kInfinity;
             for (NodeId q : route) {
@@ -755,9 +616,7 @@ TEST(MultiNodeSweep, RoutesMatchOracleAndPerNodeMinimumExactly) {
           }
         }
       }
-      EXPECT_EQ(ws.held_pins(), 0u);
-      cu.Reset();
-      cv.Reset();
+      EXPECT_EQ(pinned(), 0u) << name;
     });
   }
 }
@@ -768,7 +627,8 @@ TEST(MultiNodeSweep, RepeatedNodeRouteSweepsLikeOneNode) {
   graph::GraphView view(&g);
   auto points = RandomPoints(g.num_nodes(), 15, rng);
   const auto labels = HubLabelBuilder::Build(view).ValueOrDie();
-  ForEachStore(labels, [&](const LabelStore& store, const char* name) {
+  ForEachStore(labels, [&](const LabelStore& store, const char* name,
+                           auto pinned) {
     const auto occ = HubPointIndex::Build(store, points).ValueOrDie();
     LabelWorkspace ws;
     core::RknnOptions options;
@@ -784,6 +644,7 @@ TEST(MultiNodeSweep, RepeatedNodeRouteSweepsLikeOneNode) {
         EXPECT_EQ(many.stats.label_entries, one.stats.label_entries)
             << name << " q=" << q << " m=" << m;
         EXPECT_EQ(many.results, one.results) << name << " q=" << q;
+        EXPECT_EQ(pinned(), 0u) << name;
       }
     }
   });
@@ -822,7 +683,8 @@ TEST(MultiNodeSweep, EdgeOccurrencesAreTheOffsetEndpointMinimum) {
     want_entries += want[p].size();
   }
 
-  ForEachStore(labels, [&](const LabelStore& store, const char* name) {
+  ForEachStore(labels, [&](const LabelStore& store, const char* name,
+                           auto pinned) {
     const auto occ = HubPointIndex::Build(store, points).ValueOrDie();
     EXPECT_EQ(occ.num_entries(), want_entries) << name;
     for (NodeId h = 0; h < occ.num_hubs(); ++h) {
@@ -863,9 +725,9 @@ TEST(MultiNodeSweep, EdgeOccurrencesAreTheOffsetEndpointMinimum) {
                 .ValueOrDie();
         EXPECT_EQ(Ids(got), Ids(want_ids))
             << name << " k=" << k << " position=" << q.is_position;
+        EXPECT_EQ(pinned(), 0u) << name;
       }
     }
-    EXPECT_EQ(ws.held_pins(), 0u);
   });
 }
 

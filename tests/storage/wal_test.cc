@@ -1,7 +1,7 @@
 // WAL edge cases: empty logs, group flush, page-straddling records,
-// corrupt/torn tails (truncate-and-continue), checkpoint rotation, and
-// redo idempotence (recover-twice == recover-once) for both KnnFile
-// updates and LabelFile rewrites.
+// corrupt/torn tails (truncate-and-continue), checkpoint rotation, redo
+// idempotence (recover-twice == recover-once) for KnnFile updates, and
+// recovery's refusal of record types it does not replay.
 
 #include "storage/wal.h"
 
@@ -10,14 +10,11 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/durability.h"
 #include "fault_injection.h"
-#include "graph/graph.h"
-#include "graph/network_view.h"
-#include "index/hub_label.h"
-#include "index/label_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/knn_file.h"
@@ -253,7 +250,7 @@ TEST(WalTest, CheckpointRotatesTheLog) {
   // New appends overwrite the record region from the start. The
   // payload outsizes both dead frames so the scan ends on zeros.
   auto fresh = Payload(300, 8);
-  auto lsn = reopened->Append(WalRecordType::kLabelRewrite, 4, fresh);
+  auto lsn = reopened->Append(WalRecordType::kUpdate, 4, fresh);
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(*lsn, 3u);
   ASSERT_TRUE(reopened->Flush().ok());
@@ -263,7 +260,7 @@ TEST(WalTest, CheckpointRotatesTheLog) {
   ASSERT_EQ(final_open->recovered().size(), 1u);
   EXPECT_EQ(final_open->recovered()[0].lsn, 3u);
   EXPECT_EQ(final_open->recovered()[0].type,
-            static_cast<uint16_t>(WalRecordType::kLabelRewrite));
+            static_cast<uint16_t>(WalRecordType::kUpdate));
   EXPECT_EQ(final_open->recovered()[0].payload, fresh);
 }
 
@@ -431,92 +428,27 @@ TEST(WalTest, CommitCheckpointsWhenLogCrossesThreshold) {
   EXPECT_EQ(got, first);
 }
 
-TEST(WalTest, LabelRewriteJournalsAndReplays) {
-  auto g = graph::Graph::FromEdges(5, {{0, 1, 1.0},
-                                       {1, 2, 2.0},
-                                       {2, 3, 1.5},
-                                       {3, 4, 1.0},
-                                       {0, 4, 4.0}})
-               .ValueOrDie();
-  graph::GraphView view(&g);
-  auto labels = index::HubLabelBuilder::Build(view).ValueOrDie();
-
-  MemoryDiskManager data_base(kPageSize);
+// A record of a type recovery does not replay — here type 2, the
+// retired hub-label rewrite — must fail recovery loudly rather than be
+// skipped: dropping a durable record would silently lose state.
+TEST(WalTest, RecoveryRejectsRecordsOfUnknownType) {
   MemoryDiskManager wal_disk(kPageSize);
-  CrashController ctl;
-  auto data_disk =
-      std::make_unique<FaultInjectingDiskManager>(&data_base, &ctl);
-
-  auto file = index::LabelFile::Build(labels, data_disk.get());
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(data_disk->Sync().ok());
-  auto wal = Wal::Create(&wal_disk);
-  ASSERT_TRUE(wal.ok());
-
-  // Pick a node with a non-empty label and rewrite it (equal count,
-  // perturbed distances), journaled.
-  NodeId target = kInvalidNode;
-  for (NodeId n = 0; n < 5; ++n) {
-    if (file->LabelSize(n) > 0) {
-      target = n;
-      break;
-    }
-  }
-  ASSERT_NE(target, kInvalidNode);
-  std::vector<index::HubEntry> rewritten;
   {
-    auto pool = std::make_unique<BufferPool>(data_disk.get(), 4);
-    pool->AttachWal(&*wal);
-    index::LabelCursor cursor;
-    auto scanned = file->ScanLabel(pool.get(), target, cursor);
-    ASSERT_TRUE(scanned.ok());
-    rewritten.assign(scanned->begin(), scanned->end());
-    for (index::HubEntry& e : rewritten) {
-      e.dist += 1.0;
-    }
-    core::DurableLabelWriter writer(&*file, pool.get(), &*wal,
-                                    /*store_id=*/9);
-    core::UpdateStats stats;
-    ASSERT_TRUE(writer.Rewrite(target, rewritten, &stats).ok());
-    EXPECT_EQ(stats.log_records, 1u);
-    EXPECT_EQ(stats.lists_written, 1u);
-    ctl.CrashNow(CrashSurvival::kLoseUnsynced);  // data pages lost
+    auto wal = Wal::Create(&wal_disk);
+    ASSERT_TRUE(wal.ok());
+    const auto type2 = static_cast<WalRecordType>(2);
+    ASSERT_TRUE(wal->Append(type2, 9, Payload(40, 3)).ok());
+    ASSERT_TRUE(wal->Flush().ok());
   }
-  data_disk.reset();
-
-  auto replay_once = [&](size_t* pages_written) {
-    auto reopened_file =
-        index::LabelFile::Open(&data_base, file->first_page());
-    ASSERT_TRUE(reopened_file.ok());
-    auto reopened_wal = Wal::Open(&wal_disk);
-    ASSERT_TRUE(reopened_wal.ok());
-    auto result = core::RecoverStores(
-        *reopened_wal, {}, {{9u, {&*reopened_file, &data_base}}});
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->label_rewrites.size(), 1u);
-    EXPECT_EQ(result->label_rewrites[0].node, target);
-    *pages_written = result->pages_written;
-
-    auto lsn = reopened_file->PageLsnOf(&data_base, target);
-    ASSERT_TRUE(lsn.ok());
-    EXPECT_EQ(*lsn, 1u);  // the rewrite's record lsn, stamped by redo
-    BufferPool check_pool(&data_base, 4);
-    index::LabelCursor cursor;
-    auto scanned = reopened_file->ScanLabel(&check_pool, target, cursor);
-    ASSERT_TRUE(scanned.ok());
-    ASSERT_EQ(scanned->size(), rewritten.size());
-    for (size_t i = 0; i < rewritten.size(); ++i) {
-      EXPECT_EQ((*scanned)[i].hub, rewritten[i].hub);
-      EXPECT_DOUBLE_EQ((*scanned)[i].dist, rewritten[i].dist);
-    }
-  };
-
-  size_t pages_first = 0;
-  replay_once(&pages_first);
-  EXPECT_GT(pages_first, 0u);
-  size_t pages_second = 0;
-  replay_once(&pages_second);
-  EXPECT_EQ(pages_second, 0u);
+  auto reopened = Wal::Open(&wal_disk);
+  ASSERT_TRUE(reopened.ok());
+  ASSERT_EQ(reopened->recovered().size(), 1u);
+  EXPECT_EQ(reopened->recovered()[0].type, 2u);
+  auto result = core::RecoverStores(*reopened, {});
+  ASSERT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("unknown type 2"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 // Malformed payloads surface as Corruption from the decode layer, not
@@ -538,10 +470,6 @@ TEST(WalTest, MalformedPayloadsAreRejectedByTheDecoder) {
   ASSERT_TRUE(core::DecodeUpdateRecord(rec).ok());
   rec.payload.push_back(0);
   EXPECT_FALSE(core::DecodeUpdateRecord(rec).ok());
-
-  rec.type = static_cast<uint16_t>(WalRecordType::kLabelRewrite);
-  rec.payload = {7};
-  EXPECT_FALSE(core::DecodeLabelRecord(rec).ok());
 }
 
 }  // namespace
