@@ -95,6 +95,7 @@ int main(int argc, char** argv) {
       "random placement (expansions touch co-located lists), at equal\n"
       "CPU -- justifying the paper's locality-aware storage scheme. The\n"
       "v2 aligned records pay ~33%% more pages/faults than the packed v1\n"
-      "records but serve warm scans zero-copy (no per-edge decode).\n");
+      "records but copy each page's records with one memcpy (no per-edge\n"
+      "decode).\n");
   return 0;
 }

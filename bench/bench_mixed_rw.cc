@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
   }
 
   // Serving configuration: sharded pin table + the v2 aligned layout
-  // (zero-copy scans), unlike the paper-exact defaults of the figure
+  // (decode-free scans), unlike the paper-exact defaults of the figure
   // benches.
   auto env = BuildStoredRestricted(g, points, kK, kDefaultPoolPages,
                                    storage::kDefaultConcurrentShards,

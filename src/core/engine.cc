@@ -484,7 +484,7 @@ Result<RknnEngine> RknnEngine::Create(const EngineSources& sources) {
             snap.SetCounter("pool.physical_reads", total.physical_reads);
             snap.SetCounter("pool.physical_writes", total.physical_writes);
             snap.SetCounter("pool.evictions", total.evictions);
-            snap.SetGauge("pool.pinned_frames",
+            snap.SetGauge("pool.pinned_pages",
                           static_cast<int64_t>(src.pool->num_pinned()));
             for (size_t i = 0; i < src.pool->num_shards(); ++i) {
               const storage::IoStats sh = src.pool->shard_stats(i);
@@ -1091,11 +1091,7 @@ Result<RknnResult> RknnEngine::DispatchBody(const QuerySpec& spec,
     world.hub_sites = v->hub_sites.get();
     world.hub_edge = v->hub_edge_points.get();
     world.hub_stale = v->hub_stale;
-    Result<RknnResult> result = RunSpec(spec, world, ws);
-    // Pin discipline (DESIGN.md, "Neighbor access path"): no cursor
-    // lease survives a dispatch; released before the epoch unpins.
-    ws.ReleaseLeases();
-    return result;
+    return RunSpec(spec, world, ws);
   }
   // Lock-mode read path: shared access on every domain this kind reads,
   // acquired in domain index order (multi-domain readers use the same
@@ -1149,14 +1145,7 @@ Result<RknnResult> RknnEngine::DispatchBody(const QuerySpec& spec,
     world.hub_edge = state_->hub_edge.get();
   }
   world.hub_stale = state_->hub_stale.load(std::memory_order_acquire);
-  Result<RknnResult> result = RunSpec(spec, world, ws);
-  // Pin discipline (DESIGN.md, "Neighbor access path"): no cursor lease
-  // survives a dispatch, so workspaces return to the pool pin-free —
-  // the next query (possibly on another thread) and any pool
-  // Invalidate/ApplyUpdate in between see num_pinned() back at zero.
-  // Released before the domain locks go out of scope.
-  ws.ReleaseLeases();
-  return result;
+  return RunSpec(spec, world, ws);
 }
 
 Result<RknnResult> RknnEngine::Run(const QuerySpec& spec) {

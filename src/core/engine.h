@@ -32,9 +32,8 @@
 //     concurrent callers (each caller brings its own NeighborCursor —
 //     workspaces are single-owner). The in-memory implementations are
 //     pure reads; the disk-backed ones (StoredGraph, FileKnnStore,
-//     StoredEdgePointReader) serialize on their BufferPool shard, and
-//     Dispatch drops every cursor lease before a workspace returns to
-//     the pool.
+//     StoredEdgePointReader) serialize on their BufferPool shard and
+//     unpin every page before returning, so no pin outlives a call.
 //   * Updating a point set or KNN store BEHIND the engine's back (not
 //     through ApplyUpdate / RunMixedBatch) while queries run remains
 //     unsupported — quiesce first.

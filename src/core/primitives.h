@@ -146,10 +146,6 @@ class NnSearcher {
            query_mark_.capacity() + cursor_.scratch_capacity();
   }
 
-  /// Drops the pin the searcher's cursor may hold for its last span.
-  void ReleaseLease() { cursor_.Reset(); }
-  size_t held_pins() const { return cursor_.held_pins(); }
-
   /// range-NN(n, k, e): up to k nearest points with network distance
   /// STRICTLY smaller than `e`, ascending by distance. `exclude` (and any
   /// point used as the query itself) never appears in the result.

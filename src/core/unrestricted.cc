@@ -33,7 +33,7 @@ Status ValidatePosition(const graph::Graph& g, const EdgePosition& pos,
   }
   GRNN_ASSIGN_OR_RETURN(Weight w, g.EdgeWeight(pos.u, pos.v));
   const EdgePosition c = Canonical(pos, w);
-  if (c.pos < 0 || c.pos > w) {
+  if (!PositionOnEdge(c.pos, w)) {
     return Status::InvalidArgument(
         StrPrintf("pos %f outside edge weight %f", c.pos, w));
   }
@@ -416,7 +416,7 @@ Result<std::pair<UnrestrictedQuery, Weight>> PrepareQuery(
     GRNN_ASSIGN_OR_RETURN(
         qw, ViewEdgeWeight(g, q.position.u, q.position.v, cursor));
     prepared.position = Canonical(q.position, qw);
-    if (prepared.position.pos < 0 || prepared.position.pos > qw) {
+    if (!PositionOnEdge(prepared.position.pos, qw)) {
       return Status::InvalidArgument("query position outside edge");
     }
   }

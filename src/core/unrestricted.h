@@ -43,6 +43,13 @@ struct EdgePosition {
   friend bool operator==(const EdgePosition&, const EdgePosition&) = default;
 };
 
+/// True iff offset `pos` lies on an edge of weight `w` (0 <= pos <= w).
+/// Written so that a NaN offset fails it; every check of a caller's
+/// position goes through here.
+inline bool PositionOnEdge(double pos, Weight w) {
+  return pos >= 0 && pos <= w;
+}
+
 /// \brief Mutable metadata of edge-resident points (the in-memory
 /// node-index analog for unrestricted networks). Point records themselves
 /// may additionally live in a paged storage::PointFile for I/O-charged

@@ -23,11 +23,9 @@
 // why main and aux expansions must not share one cursor. The searcher
 // carries a third cursor for the restricted NN primitives.
 //
-// Neighbor cursors may hold buffer-pool pins for their last span (the
-// zero-copy StoredGraph lease path). The engine calls ReleaseLeases() at
-// the end of every query so no pin survives a dispatch; standalone
-// callers that invalidate pools between queries should do the same.
-// Label cursors never hold a pin (stored labels decode into them).
+// No cursor holds a buffer-pool pin: stored adjacency lists and labels
+// are copied into the cursors' scratch, and every page is unpinned
+// before the scan returns.
 //
 // Small per-query transients (the lazy algorithms' per-node bookkeeping
 // maps, result vectors) are intentionally not pooled here; the counters
@@ -108,22 +106,6 @@ class SearchWorkspace {
            query_nodes.capacity() +
            seen_points.bucket_count() + aux_seen_points.bucket_count() +
            searcher.CapacityFootprint() + labels.CapacityFootprint();
-  }
-
-  /// Drops every buffer-pool pin the workspace's cursors may hold on
-  /// behalf of their last span (scratch capacity is kept). The engine
-  /// calls this at the end of every dispatch — the pin discipline of
-  /// DESIGN.md, "Neighbor access path".
-  void ReleaseLeases() {
-    nbr_cursor.Reset();
-    aux_nbr_cursor.Reset();
-    searcher.ReleaseLease();
-  }
-
-  /// Buffer-pool pins currently held by the workspace's cursors.
-  size_t held_pins() const {
-    return nbr_cursor.held_pins() + aux_nbr_cursor.held_pins() +
-           searcher.held_pins();
   }
 };
 

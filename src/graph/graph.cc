@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -25,7 +24,7 @@ Result<Graph> Graph::FromEdges(NodeId num_nodes,
       return Status::InvalidArgument(
           StrPrintf("self-loop on node %u", e.u));
     }
-    if (!(e.w > 0) || !std::isfinite(e.w)) {
+    if (!ValidEdgeWeight(e.w)) {
       return Status::InvalidArgument(
           StrPrintf("edge (%u,%u) has non-positive weight %f", e.u, e.v,
                     e.w));

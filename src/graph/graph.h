@@ -8,6 +8,7 @@
 #ifndef GRNN_GRAPH_GRAPH_H_
 #define GRNN_GRAPH_GRAPH_H_
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,10 @@
 #include "common/types.h"
 
 namespace grnn::graph {
+
+/// True for a weight the graph model allows: finite and strictly
+/// positive (false for NaN).
+inline bool ValidEdgeWeight(Weight w) { return w > 0 && std::isfinite(w); }
 
 /// \brief Immutable undirected weighted graph, CSR layout.
 ///

@@ -7,31 +7,27 @@
 // exactly as in the paper). Algorithms never know which one they are given;
 // a conformance test asserts all implementations produce identical scans.
 //
-// Neighbor access is a cursor/lease model (PR 4): Scan(n, cursor) yields a
+// Neighbor access is a cursor model (PR 4): Scan(n, cursor) yields a
 // std::span<const AdjEntry> instead of copying into a caller vector.
 //   * GraphView returns a span straight into the CSR arrays — zero copy,
 //     zero allocation per scan.
-//   * StoredGraph either leases the pinned frame (v2 page layout, list
-//     resident on one page: the cursor holds an RAII PageGuard pin and the
-//     span points into the buffer pool frame) or decodes into the cursor's
-//     scratch buffer (v1 layout / page-straddling lists / tiny pools).
-// Either way a warm cursor performs no allocation per scan.
+//   * StoredGraph copies the list out of its pages into the cursor's
+//     scratch buffer and unpins them before Scan returns (both page
+//     layouts), so no buffer-pool pin outlives a Scan.
+// Either way the span points into memory the CSR or the cursor owns,
+// and a warm cursor performs no allocation per scan.
 //
 // Cursor lifetime rules (full discussion in DESIGN.md, "Neighbor access
 // path"):
 //   * The span returned by Scan stays valid until the NEXT Scan through
-//     the same cursor, cursor Reset(), or cursor destruction — whichever
-//     comes first. Nested expansions must therefore use their own cursor
+//     the same cursor or cursor destruction, whichever comes first.
+//     Nested expansions must therefore use their own cursor
 //     (SearchWorkspace carries one per concurrently-live expansion).
-//   * A live span may imply a held buffer-pool pin; drop cursors (Reset)
-//     before invalidating pools and never carry a cursor across an
-//     engine ApplyUpdate domain boundary.
 //   * A cursor is single-owner mutable state: one thread at a time.
 
 #ifndef GRNN_GRAPH_NETWORK_VIEW_H_
 #define GRNN_GRAPH_NETWORK_VIEW_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,26 +37,13 @@
 #include "graph/graph.h"
 
 namespace grnn::storage {
-class GraphFile;  // may install a page lease into a NeighborCursor
+class GraphFile;  // decodes stored lists into a NeighborCursor
 }  // namespace grnn::storage
 
 namespace grnn::graph {
 
-/// \brief Resource held on behalf of a live neighbor span (e.g. a pinned
-/// buffer-pool frame). Implementations live next to the view that issues
-/// them; the cursor only needs to drop and count them.
-class NeighborLease {
- public:
-  virtual ~NeighborLease() = default;
-  /// Releases the held resources; the object itself stays allocated so
-  /// the cursor can reuse it for the next scan.
-  virtual void Drop() = 0;
-  /// Number of buffer-pool pins currently held (0 after Drop).
-  virtual size_t num_pins() const = 0;
-};
-
-/// \brief Per-expansion neighbor scan state: a reusable decode buffer and
-/// the lease backing the most recent span. Create once (it lives in
+/// \brief Per-expansion neighbor scan state: a reusable decode buffer
+/// that backs the spans of disk-backed views. Create once (it lives in
 /// SearchWorkspace or on the stack of a maintenance routine) and pass to
 /// every Scan of one expansion; warm cursors allocate nothing.
 class NeighborCursor {
@@ -70,19 +53,6 @@ class NeighborCursor {
   NeighborCursor& operator=(NeighborCursor&&) noexcept = default;
   NeighborCursor(const NeighborCursor&) = delete;
   NeighborCursor& operator=(const NeighborCursor&) = delete;
-  ~NeighborCursor() = default;  // lease destructor releases any pins
-
-  /// Invalidates the last span: drops held pins, keeps scratch capacity.
-  void Reset() {
-    if (lease_ != nullptr) {
-      lease_->Drop();
-    }
-  }
-
-  /// Buffer-pool pins currently held on behalf of the last span.
-  size_t held_pins() const {
-    return lease_ == nullptr ? 0 : lease_->num_pins();
-  }
 
   /// Element capacity of the decode buffer (workspace-growth accounting).
   size_t scratch_capacity() const { return scratch_.capacity(); }
@@ -91,7 +61,6 @@ class NeighborCursor {
   friend class storage::GraphFile;
 
   std::vector<AdjEntry> scratch_;
-  std::unique_ptr<NeighborLease> lease_;
 };
 
 /// \brief Abstract adjacency access for query processing.
@@ -103,8 +72,9 @@ class NetworkView {
   virtual size_t num_edges() const = 0;
 
   /// Scans the adjacency list of `n`, sorted by neighbor id. The span is
-  /// valid until the next Scan through `cursor`, cursor Reset, or cursor
-  /// destruction. Disk-backed implementations charge buffer-pool I/O here.
+  /// valid until the next Scan through `cursor` or cursor destruction.
+  /// Disk-backed implementations charge buffer-pool I/O here and hold no
+  /// pin once Scan returns.
   virtual Result<std::span<const AdjEntry>> Scan(
       NodeId n, NeighborCursor& cursor) const = 0;
 };
@@ -119,13 +89,10 @@ class GraphView final : public NetworkView {
   size_t num_edges() const override { return g_->num_edges(); }
 
   Result<std::span<const AdjEntry>> Scan(
-      NodeId n, NeighborCursor& cursor) const override {
+      NodeId n, NeighborCursor& /*cursor*/) const override {
     if (n >= g_->num_nodes()) {
       return Status::OutOfRange("node id out of range");
     }
-    // Invalidate the cursor's previous span (it may pin another view's
-    // pages); the CSR itself needs no lease.
-    cursor.Reset();
     return g_->Neighbors(n);
   }
 

@@ -236,12 +236,11 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
     }
     GRNN_ASSIGN_OR_RETURN(qw, ViewEdgeWeightFor(g, q.position.u,
                                                 q.position.v, nbr_cursor));
-    nbr_cursor.Reset();
     if (q.position.u > q.position.v) {
       q.position = core::EdgePosition{q.position.v, q.position.u,
                                       qw - q.position.pos};
     }
-    if (q.position.pos < 0 || q.position.pos > qw) {
+    if (!core::PositionOnEdge(q.position.pos, qw)) {
       return Status::InvalidArgument("query position outside edge");
     }
   } else {

@@ -18,9 +18,8 @@
 // eager hot path.
 //
 // ScopedSpan is RAII: a span closes on every exit path, including
-// early error returns, mirroring the workspace's ReleaseLeases
-// discipline (trace_test asserts the tree is closed after failed
-// queries). Span names must be string literals (stored as const
+// early error returns (trace_test asserts the tree is closed after
+// failed queries). Span names must be string literals (stored as const
 // char*); note keys likewise.
 //
 // Queries whose total latency exceeds TraceOptions::slow_query_micros

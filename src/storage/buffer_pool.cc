@@ -126,9 +126,7 @@ Result<PageGuard> BufferPool::Acquire(PageId id) {
       auto it = shard.page_table.find(id);
       if (it != shard.page_table.end()) {
         Frame& f = shard.frames[it->second];
-        if (f.pins++ == 0) {
-          shard.pinned_frames.fetch_add(1, std::memory_order_relaxed);
-        }
+        f.pins++;
         if (policy_ == ReplacementPolicy::kLru) {
           f.tick = ++shard.tick;
         }
@@ -156,7 +154,6 @@ Result<PageGuard> BufferPool::Acquire(PageId id) {
         GRNN_RETURN_NOT_OK(disk_->ReadPage(id, f.data.get()));
         f.page = id;
         f.pins = 1;
-        shard.pinned_frames.fetch_add(1, std::memory_order_relaxed);
         f.dirty = false;
         f.tick = ++shard.tick;
         shard.page_table[id] = *victim_or;
@@ -247,9 +244,7 @@ void BufferPool::Unpin(size_t shard_idx, size_t frame, bool dirty) {
   std::lock_guard<std::mutex> lock(shard.mu);
   Frame& f = shard.frames[frame];
   GRNN_DCHECK(f.pins > 0);
-  if (--f.pins == 0) {
-    shard.pinned_frames.fetch_sub(1, std::memory_order_relaxed);
-  }
+  f.pins--;
   f.dirty = f.dirty || dirty;
 }
 

@@ -15,11 +15,15 @@
 // shard preserves the paper's *global* LRU/FIFO order exactly, which the
 // figure benches (fault counts) and the replacement-policy tests rely on;
 // concurrent serving paths pass kDefaultConcurrentShards.
+//
+// Pins are short: every reader in the library (adjacency, label, KNN
+// and point scans) copies what it needs out of the frame and unpins
+// before its call returns, so num_pinned() is zero whenever no call is
+// in flight.
 
 #ifndef GRNN_STORAGE_BUFFER_POOL_H_
 #define GRNN_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -45,32 +49,11 @@ enum class ReplacementPolicy {
 /// pin-table contention by an order of magnitude.
 inline constexpr size_t kDefaultConcurrentShards = 8;
 
-/// Minimum per-shard frame budget before scans may HOLD pins across
-/// calls (the zero-copy lease path of GraphFile::ScanNeighbors). Below
-/// this, a handful of concurrently-held cursor leases could pin down a
-/// whole shard and starve nested scans into ResourceExhausted, so small
-/// pools serve scans by copy-and-unpin instead.
-///
-/// Operating envelope: each serving thread holds <= 4 cursor pins
-/// (three workspace cursors + one transient), so 32 frames/shard
-/// absorbs up to 8 concurrent workers even if page-id residue skew
-/// lands EVERY held pin in one shard (the bound deliberately does not
-/// assume an even spread), while keeping the paper-scale pools (256
-/// pages at 1 or 8 shards) on the zero-copy path. Fleets larger than
-/// that no longer risk pin exhaustion either: the per-page
-/// lease_friendly(id) probe additionally watches the page's shard and
-/// degrades NEW scans to copy-and-unpin once its free-frame count
-/// drops below kLeaseShardFreeFrameFloor (the pin-reservation guard),
-/// so held leases can never pin a shard down completely.
+/// Frames per shard a concurrently served stored-graph pool is sized
+/// to: perfbench's stored-expand workload divides its pool into shards
+/// of this many frames. The library itself reads no such budget — no
+/// scan holds a pin past its call, so any non-empty shard serves.
 inline constexpr size_t kMinFramesPerShardForLease = 32;
-
-/// Free frames a shard must retain before scans may take a NEW lease
-/// (pin held across calls) on one of its pages. The floor reserves
-/// room for the nested, short-lived pins of in-flight expansions
-/// (<= 4 per thread): when held leases squeeze a shard to fewer free
-/// frames than this, lease_friendly(id) reports false and scans fall
-/// back to copy-and-unpin until pressure drains.
-inline constexpr size_t kLeaseShardFreeFrameFloor = 8;
 
 class BufferPool;
 class Wal;
@@ -92,12 +75,6 @@ class PageGuard {
 
   bool valid() const { return data_ != nullptr; }
   PageId page_id() const { return page_id_; }
-
-  /// True when this guard pins a pool frame. Guards from zero-capacity
-  /// pools own a private copy instead — valid() but pinning nothing —
-  /// so pin accounting (cursor leases, num_pinned probes) must use
-  /// this, not valid().
-  bool pins_frame() const { return data_ != nullptr && frame_ != SIZE_MAX; }
 
   /// Read-only view of the page bytes.
   const uint8_t* data() const { return data_; }
@@ -179,35 +156,6 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
-  /// True when callers may hold page pins across calls (cursor leases):
-  /// unbuffered pools hand out private copies (nothing is pinned), and
-  /// buffered pools need kMinFramesPerShardForLease frames per shard so
-  /// held leases cannot exhaust a shard — see graph_file.h and DESIGN.md,
-  /// "Neighbor access path".
-  bool lease_friendly() const {
-    return capacity_ == 0 ||
-           capacity_ / shards_.size() >= kMinFramesPerShardForLease;
-  }
-  /// Per-page form: the static capacity check above AND the
-  /// pin-reservation guard for the page's shard — false while the
-  /// shard's free-frame count sits below kLeaseShardFreeFrameFloor, so
-  /// callers degrade new scans to copy-and-unpin instead of stacking
-  /// more held pins onto a shard under lease pressure. (Unbuffered
-  /// pools stay lease-friendly: their guards hand out private copies
-  /// and pin nothing.) The probe is advisory — it reads the shard's
-  /// pinned-frame gauge without taking its mutex.
-  bool lease_friendly(PageId id) const {
-    if (capacity_ == 0) {
-      return true;
-    }
-    if (!lease_friendly()) {
-      return false;
-    }
-    const Shard& shard = *shards_[ShardOf(id)];
-    const size_t pinned =
-        shard.pinned_frames.load(std::memory_order_relaxed);
-    return shard.frames.size() - pinned >= kLeaseShardFreeFrameFloor;
-  }
   size_t num_resident() const;
   size_t num_pinned() const;
   /// Snapshot of the I/O counters, summed over every shard (by value: the
@@ -259,9 +207,6 @@ class BufferPool {
     std::unordered_map<PageId, size_t> page_table;
     uint64_t tick = 0;
     IoStats stats;
-    /// Frames with pins > 0. Written under `mu` (pin transitions in
-    /// Acquire/Unpin), read lock-free by lease_friendly(id).
-    std::atomic<size_t> pinned_frames{0};
   };
 
   size_t ShardOf(PageId id) const { return id % shards_.size(); }

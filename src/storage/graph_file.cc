@@ -8,21 +8,6 @@ namespace grnn::storage {
 
 namespace {
 
-// Cursor lease over one pinned frame: backs the zero-copy v2 spans. The
-// only NeighborLease implementation in the tree (GraphFile is the sole
-// installer), so ScanNeighbors may static_cast a cursor's lease back.
-class PageLease final : public graph::NeighborLease {
- public:
-  void Drop() override { guard_.Release(); }
-  // Guards from unbuffered pools own a private copy and pin nothing;
-  // only report real frame pins.
-  size_t num_pins() const override {
-    return guard_.pins_frame() ? 1 : 0;
-  }
-
-  PageGuard guard_;
-};
-
 // Appends raw bytes to a page-building stream, allocating pages on demand
 // (the v1 packed layout: no page header, 12-byte records).
 class PageWriter {
@@ -215,8 +200,7 @@ Result<GraphFile> GraphFile::Build(const graph::Graph& g,
     V2PageWriter writer(disk, file.page_size_);
     for (NodeId n : order) {
       auto nbrs = g.Neighbors(n);
-      if (options.pad_to_page_boundaries && !nbrs.empty() &&
-          nbrs.size() <= writer.slots_per_page() &&
+      if (!nbrs.empty() && nbrs.size() <= writer.slots_per_page() &&
           nbrs.size() > writer.remaining_slots()) {
         GRNN_RETURN_NOT_OK(writer.PadToPageBoundary());
       }
@@ -237,8 +221,7 @@ Result<GraphFile> GraphFile::Build(const graph::Graph& g,
   for (NodeId n : order) {
     auto nbrs = g.Neighbors(n);
     const size_t list_bytes = nbrs.size() * kAdjEntryBytes;
-    if (options.pad_to_page_boundaries && list_bytes > 0 &&
-        list_bytes <= file.page_size_ &&
+    if (list_bytes > 0 && list_bytes <= file.page_size_ &&
         list_bytes > writer.remaining_in_page()) {
       GRNN_RETURN_NOT_OK(writer.PadToPageBoundary());
     }
@@ -268,49 +251,20 @@ Result<std::span<const AdjEntry>> GraphFile::ScanNeighbors(
   if (pool == nullptr) {
     return Status::InvalidArgument("buffer pool is null");
   }
-  // Invalidate the cursor's previous span first: its pin (possibly the
-  // last frame of a small shard) must not block this scan's Acquire.
-  cursor.Reset();
-  const uint32_t degree = degrees_[n];
-  if (degree == 0) {
-    return std::span<const AdjEntry>();
-  }
-
-  if (layout_ == PageLayout::kV2Aligned) {
-    const uint64_t off = offsets_[n];
-    const size_t in_page = static_cast<size_t>(off % page_size_);
-    const size_t slots_here = (page_size_ - in_page) / kV2RecordBytes;
-    if (degree <= slots_here) {
-      // Whole list on one page: serve it straight from the frame.
-      const PageId page =
-          first_page_ + static_cast<PageId>(off / page_size_);
-      GRNN_ASSIGN_OR_RETURN(PageGuard guard, pool->Acquire(page));
-      const uint8_t* base = guard.data() + in_page;
-      GRNN_DCHECK(reinterpret_cast<uintptr_t>(base) % alignof(AdjEntry) ==
-                  0);
-      const auto* records = reinterpret_cast<const AdjEntry*>(base);
-      if (pool->lease_friendly(page)) {
-        // Zero-copy: the cursor leases the pin for the span's lifetime.
-        if (cursor.lease_ == nullptr) {
-          cursor.lease_ = std::make_unique<PageLease>();
-        }
-        static_cast<PageLease*>(cursor.lease_.get())->guard_ =
-            std::move(guard);
-        return std::span<const AdjEntry>(records, degree);
-      }
-      // Tiny pool or shard under lease pressure: copy and unpin so held
-      // cursors cannot exhaust the shard.
-      cursor.scratch_.resize(degree);
-      std::memcpy(cursor.scratch_.data(), base,
-                  degree * sizeof(AdjEntry));
-      return std::span<const AdjEntry>(cursor.scratch_.data(), degree);
+  std::vector<AdjEntry>& scratch = cursor.scratch_;
+  GRNN_RETURN_NOT_OK(layout_ == PageLayout::kV2Aligned
+                         ? AssembleV2(pool, n, scratch)
+                         : ScanV1(pool, n, scratch));
+  // The expansions index id-sized arrays by neighbor id and add weights
+  // to distances: a flipped record must stop here, not there.
+  for (const AdjEntry& a : scratch) {
+    if (a.node >= num_nodes() || !graph::ValidEdgeWeight(a.weight)) {
+      return Status::Corruption(
+          StrPrintf("adjacency list of node %u holds record (%u, %g)", n,
+                    a.node, a.weight));
     }
-    GRNN_RETURN_NOT_OK(AssembleV2(pool, n, cursor.scratch_));
-    return std::span<const AdjEntry>(cursor.scratch_.data(), degree);
   }
-
-  GRNN_RETURN_NOT_OK(ScanV1(pool, n, cursor.scratch_));
-  return std::span<const AdjEntry>(cursor.scratch_.data(), degree);
+  return std::span<const AdjEntry>(scratch);
 }
 
 Status GraphFile::AssembleV2(BufferPool* pool, NodeId n,
@@ -326,13 +280,15 @@ Status GraphFile::AssembleV2(BufferPool* pool, NodeId n,
     const size_t take = std::min<size_t>(
         degree - filled, (page_size_ - in_page) / kV2RecordBytes);
     GRNN_ASSIGN_OR_RETURN(PageGuard guard, pool->Acquire(page));
-#ifndef NDEBUG
     V2PageHeader header;
     std::memcpy(&header, guard.data(), sizeof(header));
-    GRNN_DCHECK(header.magic == kV2Magic);
-    GRNN_DCHECK((in_page - kV2HeaderBytes) / kV2RecordBytes + take <=
-                header.entry_count);
-#endif
+    const size_t first_slot = (in_page - kV2HeaderBytes) / kV2RecordBytes;
+    if (header.magic != kV2Magic || header.entry_count < first_slot + take) {
+      return Status::Corruption(StrPrintf(
+          "graph page %u has a bad v2 header (magic %08x, %u entries) "
+          "for node %u",
+          page, header.magic, header.entry_count, n));
+    }
     std::memcpy(scratch.data() + filled, guard.data() + in_page,
                 take * kV2RecordBytes);
     filled += take;

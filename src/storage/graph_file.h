@@ -10,16 +10,21 @@
 //     Lists never straddle a page boundary unless they are longer than a
 //     whole page; the tail of a page that cannot fit the next list is
 //     left as padding, exactly like slotted grouping in the paper's
-//     scheme. Reads decode into the cursor's scratch buffer.
+//     scheme. Reads decode entry by entry into the cursor's scratch.
 //
 //   * kV2Aligned (default) — records are bit-identical to the in-memory
 //     AdjEntry (16 bytes, weight at offset 8), preceded by a 16-byte page
-//     header carrying the page's entry count. A list resident on one page
-//     is served ZERO-COPY: the scan pins the frame (an RAII PageGuard
-//     lease held by the cursor) and returns a span straight into the
-//     page. The 16-vs-12-byte record is the classic space-for-decode
-//     trade: ~33% more pages, no per-edge decode on the hot path. The
-//     packing ablation sweeps both.
+//     header carrying the page's entry count. Reads copy each page's run
+//     of records into the cursor's scratch with one memcpy. The
+//     16-vs-12-byte record is the classic space-for-decode trade: ~33%
+//     more pages, no per-edge decode on the hot path. The packing
+//     ablation sweeps both.
+//
+// Either way a scan pins each page only while copying from it, so no
+// pin outlives ScanNeighbors, and a returned span points into memory
+// the cursor owns. Both decoders reject records no Graph can hold (a
+// neighbor id past num_nodes(), a weight that is not finite and
+// positive) and v2 pages whose header is wrong, with Corruption.
 
 #ifndef GRNN_STORAGE_GRAPH_FILE_H_
 #define GRNN_STORAGE_GRAPH_FILE_H_
@@ -50,7 +55,7 @@ enum class PageLayout : uint8_t {
 
 const char* PageLayoutName(PageLayout layout);
 
-/// v2 serves spans straight out of the page: the on-page record must be
+/// v2 copies records page to scratch verbatim: the on-page record must be
 /// byte-identical to the in-memory AdjEntry.
 static_assert(std::is_trivially_copyable_v<AdjEntry>);
 static_assert(sizeof(AdjEntry) == 16, "v2 records are 16-byte AdjEntry");
@@ -74,8 +79,6 @@ inline constexpr size_t kV2RecordBytes = sizeof(AdjEntry);
 struct GraphFileOptions {
   NodeOrder order = NodeOrder::kBfs;
   PageLayout layout = PageLayout::kV2Aligned;
-  /// Avoid splitting sub-page lists across page boundaries.
-  bool pad_to_page_boundaries = true;
   /// Seed for NodeOrder::kRandom.
   uint64_t seed = 42;
 };
@@ -83,21 +86,18 @@ struct GraphFileOptions {
 /// \brief Paged adjacency-list file with a memory-resident node index.
 class GraphFile {
  public:
-  /// Serializes `g` into fresh pages of `disk`. v2 requires the disk's
-  /// page size to be a multiple of 16 with room for at least one record
-  /// behind the header.
+  /// Serializes `g` into fresh pages of `disk`. A list that fits on one
+  /// page never straddles two: the rest of a page that cannot hold the
+  /// next list is padding. v2 requires the disk's page size to be a
+  /// multiple of 16 with room for at least one record behind the header.
   static Result<GraphFile> Build(const graph::Graph& g, DiskManager* disk,
                                  const GraphFileOptions& options = {});
 
   /// Scans the adjacency list of `n` through `pool`, charging page I/O.
-  /// Returns a span valid until the next scan through `cursor`, cursor
-  /// Reset, or cursor destruction (see network_view.h for the full
-  /// lifetime rules). Zero-copy when the layout is v2, the list sits on
-  /// one page and the pool is lease_friendly(page) — which also degrades
-  /// scans to copy mode while the page's shard is under lease pressure
-  /// (pin-reservation guard); otherwise the entries are decoded into the
-  /// cursor's scratch buffer and the page pins are dropped before
-  /// returning.
+  /// The entries are copied into the cursor's scratch and every page pin
+  /// is dropped before returning; the span stays valid until the next
+  /// scan through `cursor` or its destruction (see network_view.h).
+  /// Corruption when a record or a v2 page header read is impossible.
   Result<std::span<const AdjEntry>> ScanNeighbors(
       BufferPool* pool, NodeId n, graph::NeighborCursor& cursor) const;
 

@@ -14,10 +14,9 @@
 namespace grnn::storage {
 
 /// \brief Disk-backed NetworkView. Every Scan goes through the buffer
-/// pool; misses count as the paper's page accesses. With the v2 page
-/// layout and a lease-friendly pool, a scan returns a span straight into
-/// the pinned frame — the cursor holds the pin until its next scan (see
-/// network_view.h for the lifetime rules).
+/// pool; misses count as the paper's page accesses. A scan copies the
+/// list into the cursor's scratch and unpins its pages before returning
+/// (see network_view.h for the lifetime rules).
 class StoredGraph final : public graph::NetworkView {
  public:
   /// \param file, pool must outlive the view.

@@ -494,8 +494,8 @@ TEST_P(DifferentialHarness, UpdateBurstsKeepStoresAndMatrixExact) {
 // The storage-equivalence phase: the same spec matrix answered through
 // disk-backed StoredGraph views must match the in-memory GraphView
 // engine bit-for-bit (points, hosting nodes, distances), for BOTH page
-// layouts — v1 packed (cursor-decode path) and v2 aligned (zero-copy
-// lease path) — serially and through the parallel batch path.
+// layouts — v1 packed (per-entry decode) and v2 aligned (one memcpy per
+// page) — serially and through the parallel batch path.
 struct StoredWorld {
   std::unique_ptr<storage::MemoryDiskManager> disk;
   std::unique_ptr<storage::GraphFile> file;
@@ -506,8 +506,8 @@ struct StoredWorld {
 StoredWorld MakeStoredWorld(const graph::Graph& g,
                             storage::PageLayout layout) {
   StoredWorld sw;
-  // 512-byte pages so the small worlds still span many pages; 64-frame
-  // pool: lease-friendly, exercising the held-pin path under v2.
+  // 512-byte pages so the small worlds still span many pages, behind a
+  // 64-frame pool.
   sw.disk = std::make_unique<storage::MemoryDiskManager>(512);
   storage::GraphFileOptions opts;
   opts.layout = layout;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <tuple>
 
@@ -775,6 +776,35 @@ TEST(EngineHubTest, EdgeUpdatesMaintainIndexIncrementally) {
   auto after = engine.Run(hub_spec);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->results, deleted->results);
+}
+
+// A NaN or infinite offset lies on no edge: every algorithm rejects the
+// query, and an insert there is refused without adding a point.
+TEST(EngineHubTest, NonFinitePositionsAreInvalidUnderEveryAlgorithm) {
+  auto w = MakeWorld(29, 3);
+  auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
+  RknnEngine engine = HubEdgeEngine(*w, labels, /*updatable=*/true);
+  const Edge e = w->g.CollectEdges().front();
+  for (double pos : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    const EdgePosition off_edge{e.u, e.v, pos};
+    for (Algorithm algo :
+         {Algorithm::kEager, Algorithm::kLazy, Algorithm::kLazyEp,
+          Algorithm::kEagerM, Algorithm::kBruteForce,
+          Algorithm::kHubLabel}) {
+      auto r = engine.Run(QuerySpec::Unrestricted(algo, off_edge));
+      EXPECT_TRUE(r.status().IsInvalidArgument())
+          << AlgorithmName(algo) << " pos=" << pos << ": "
+          << r.status().ToString();
+    }
+    const size_t live = w->edge_points.num_points();
+    const PointId bound = w->edge_points.point_id_bound();
+    auto ins = engine.ApplyUpdate(UpdateSpec::InsertEdgePoint(off_edge));
+    EXPECT_TRUE(ins.status().IsInvalidArgument()) << "pos=" << pos;
+    EXPECT_EQ(w->edge_points.num_points(), live);
+    EXPECT_EQ(w->edge_points.point_id_bound(), bound);
+  }
 }
 
 // Point ids never recycle, so every insert raises the id bound of the

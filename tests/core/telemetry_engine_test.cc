@@ -113,7 +113,7 @@ TEST(TelemetryEngineTest, OneSnapshotSeesEveryLayer) {
   // breakdown included.
   EXPECT_GT(snap2.CounterValue("pool.logical_reads"), 0u);
   EXPECT_TRUE(HasCounter(snap2, "pool.shard0.logical_reads"));
-  EXPECT_TRUE(HasGauge(snap2, "pool.pinned_frames"));
+  EXPECT_TRUE(HasGauge(snap2, "pool.pinned_pages"));
   // Epoch layer: gauges exported even in lock mode (all-zero there).
   EXPECT_TRUE(HasCounter(snap2, "engine.epoch.pins"));
   EXPECT_TRUE(HasGauge(snap2, "engine.epoch.limbo"));

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/workspace.h"
 #include "graph/network_view.h"
 #include "test_fixtures.h"
@@ -63,9 +65,21 @@ UnrestrictedFixture MakeFixture() {
 TEST(EdgePointSetTest, CreateValidatesPositions) {
   auto g = graph::Graph::FromEdges(3, {{0, 1, 2.0}}).ValueOrDie();
   EXPECT_TRUE(EdgePointSet::Create(g, {{0, 1, 1.0}}).ok());
-  // Out of range pos.
+  // Out of range pos, NaN and infinities included, from either end.
   EXPECT_FALSE(EdgePointSet::Create(g, {{0, 1, 3.0}}).ok());
   EXPECT_FALSE(EdgePointSet::Create(g, {{0, 1, -0.5}}).ok());
+  for (double pos : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(EdgePointSet::Create(g, {{0, 1, pos}})
+                    .status()
+                    .IsInvalidArgument())
+        << pos;
+    EXPECT_TRUE(EdgePointSet::Create(g, {{1, 0, pos}})
+                    .status()
+                    .IsInvalidArgument())
+        << pos;
+  }
   // Missing edge.
   EXPECT_FALSE(EdgePointSet::Create(g, {{0, 2, 0.5}}).ok());
   // Degenerate.
@@ -408,6 +422,34 @@ TEST(UnrestrictedAlgorithmsTest, InvalidQueries) {
   EXPECT_FALSE(UnrestrictedLazyRknn(view, f.points, reader, empty_route,
                                     RknnOptions{}, ws)
                    .ok());
+
+  // NaN and infinite offsets lie on no edge.
+  for (double pos : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    UnrestrictedQuery off_edge;
+    off_edge.position = {0, 1, pos};
+    const RknnOptions opts;
+    EXPECT_TRUE(UnrestrictedEagerRknn(view, f.points, reader, off_edge,
+                                      opts, ws)
+                    .status()
+                    .IsInvalidArgument())
+        << pos;
+    EXPECT_TRUE(UnrestrictedLazyRknn(view, f.points, reader, off_edge,
+                                     opts, ws)
+                    .status()
+                    .IsInvalidArgument())
+        << pos;
+    EXPECT_TRUE(UnrestrictedLazyEpRknn(view, f.points, reader, off_edge,
+                                       opts, ws)
+                    .status()
+                    .IsInvalidArgument())
+        << pos;
+    EXPECT_TRUE(UnrestrictedBruteForceRknn(view, f.points, off_edge, opts)
+                    .status()
+                    .IsInvalidArgument())
+        << pos;
+  }
 }
 
 }  // namespace

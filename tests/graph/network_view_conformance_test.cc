@@ -1,17 +1,17 @@
 // NetworkView conformance suite (PR 4): every implementation of the
-// cursor/lease Scan API must produce identical scans — GraphView (CSR),
+// cursor Scan API must produce identical scans — GraphView (CSR),
 // StoredGraph over the v1 packed layout, and StoredGraph over the v2
-// aligned layout in its three serving modes (zero-copy lease, tiny-pool
-// copy, unbuffered private copy). On top of scan equality, the suite
-// enforces the pin discipline: no buffer-pool pin survives cursor
-// Reset/destruction, early-exit paths included, and no pin survives an
-// engine query.
+// aligned layout behind a 64-frame pool, a 4-frame pool and an
+// unbuffered pool. On top of scan equality, the suite enforces the pin
+// discipline: no buffer-pool pin survives a single Scan, early-exit and
+// nested-cursor paths included, and no pin survives an engine query.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -64,8 +64,8 @@ Graph TestGraph(uint64_t seed) {
 enum class ViewKind {
   kGraphView,
   kStoredV1,
-  kStoredV2Lease,     // pool passes lease_friendly(): zero-copy spans
-  kStoredV2TinyPool,  // copy-and-unpin mode
+  kStoredV2,          // 64-frame pool
+  kStoredV2TinyPool,  // 4-frame pool
   kStoredV2Unbuffered,
 };
 
@@ -100,9 +100,9 @@ ViewEnv MakeEnv(ViewKind kind, const Graph& g) {
                     : storage::PageLayout::kV2Aligned;
   env.file = std::make_unique<storage::GraphFile>(
       storage::GraphFile::Build(g, env.disk.get(), opts).ValueOrDie());
-  size_t capacity = 64;  // lease-friendly
+  size_t capacity = 64;
   if (kind == ViewKind::kStoredV2TinyPool) {
-    capacity = 4;  // below kMinFramesPerShardForLease: copy mode
+    capacity = 4;
   } else if (kind == ViewKind::kStoredV2Unbuffered) {
     capacity = 0;  // every acquire is a private copy
   }
@@ -123,6 +123,7 @@ TEST_P(NetworkViewConformanceTest, ScansMatchGraphExactly) {
     for (NodeId n = 0; n < g.num_nodes(); ++n) {
       auto scan = env.view().Scan(n, cursor);
       ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      EXPECT_EQ(env.pinned(), 0u) << "node " << n;
       auto want = g.Neighbors(n);
       ASSERT_EQ(scan->size(), want.size()) << "node " << n;
       for (size_t i = 0; i < want.size(); ++i) {
@@ -132,7 +133,6 @@ TEST_P(NetworkViewConformanceTest, ScansMatchGraphExactly) {
       }
     }
   }
-  // Cursor destroyed: every pin must be gone.
   EXPECT_EQ(env.pinned(), 0u);
 }
 
@@ -143,40 +143,34 @@ TEST_P(NetworkViewConformanceTest, SpanSurvivesScansOnOtherCursors) {
   const NodeId main_node = 5;
   auto main_scan = env.view().Scan(main_node, main_cursor);
   ASSERT_TRUE(main_scan.ok());
+  EXPECT_EQ(env.pinned(), 0u);
   const std::vector<AdjEntry> want(main_scan->begin(), main_scan->end());
   // A nested expansion hammers the aux cursor (and, for stored views,
   // the pool) while the main span is live.
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     ASSERT_TRUE(env.view().Scan(n, aux_cursor).ok());
+    EXPECT_EQ(env.pinned(), 0u) << "node " << n;
   }
   EXPECT_TRUE(std::equal(main_scan->begin(), main_scan->end(),
                          want.begin(), want.end()));
-  main_cursor.Reset();
-  aux_cursor.Reset();
-  EXPECT_EQ(env.pinned(), 0u);
 }
 
 TEST_P(NetworkViewConformanceTest, EarlyExitLeaksNoPins) {
   Graph g = TestGraph(7);
   ViewEnv env = MakeEnv(GetParam(), g);
-  {
-    NeighborCursor cursor;
-    auto scan = env.view().Scan(0, cursor);
-    ASSERT_TRUE(scan.ok());
-    for (const AdjEntry& a : *scan) {
-      if (a.node > 0) {
-        break;  // early exit mid-iteration, cursor destroyed below
-      }
+  NeighborCursor cursor;
+  auto scan = env.view().Scan(0, cursor);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(env.pinned(), 0u);
+  for (const AdjEntry& a : *scan) {
+    if (a.node > 0) {
+      break;  // early exit mid-iteration, cursor still alive
     }
   }
   EXPECT_EQ(env.pinned(), 0u);
-  {
-    NeighborCursor cursor;
-    ASSERT_TRUE(env.view().Scan(1, cursor).ok());
-    cursor.Reset();  // explicit reset instead of destruction
-    EXPECT_EQ(cursor.held_pins(), 0u);
-    EXPECT_EQ(env.pinned(), 0u);
-  }
+  // A failed scan holds nothing either.
+  EXPECT_FALSE(env.view().Scan(g.num_nodes(), cursor).ok());
+  EXPECT_EQ(env.pinned(), 0u);
 }
 
 TEST_P(NetworkViewConformanceTest, EveryQueryLeavesThePoolUnpinned) {
@@ -215,7 +209,7 @@ TEST_P(NetworkViewConformanceTest, EveryQueryLeavesThePoolUnpinned) {
 INSTANTIATE_TEST_SUITE_P(
     AllViews, NetworkViewConformanceTest,
     ::testing::Values(ViewKind::kGraphView, ViewKind::kStoredV1,
-                      ViewKind::kStoredV2Lease,
+                      ViewKind::kStoredV2,
                       ViewKind::kStoredV2TinyPool,
                       ViewKind::kStoredV2Unbuffered),
     [](const auto& info) {
@@ -224,14 +218,69 @@ INSTANTIATE_TEST_SUITE_P(
           return "GraphView";
         case ViewKind::kStoredV1:
           return "StoredV1";
-        case ViewKind::kStoredV2Lease:
-          return "StoredV2Lease";
+        case ViewKind::kStoredV2:
+          return "StoredV2";
         case ViewKind::kStoredV2TinyPool:
           return "StoredV2TinyPool";
         default:
           return "StoredV2Unbuffered";
       }
     });
+
+// 40-node circulant graph, degree 24: each adjacency list fills more
+// than half of a 512-byte page under either layout, so (with boundary
+// padding) every node owns exactly one page — 40 single-page lists.
+Graph CirculantGraph() {
+  std::vector<Edge> edges;
+  const NodeId n = 40;
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId d = 1; d <= 12; ++d) {
+      const NodeId j = (i + d) % n;
+      edges.push_back({std::min(i, j), std::max(i, j), 1.0 + d});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  });
+  return Graph::FromEdges(n, edges).ValueOrDie();
+}
+
+// More single-page lists than frames in a one-shard pool, and every
+// scan's cursor kept alive with its span: if a live span held its page
+// pinned, the 33rd scan would find every frame pinned.
+TEST(NetworkViewPinPressure, LiveCursorsOutnumberingFramesHoldNoPins) {
+  const Graph g = CirculantGraph();
+  for (storage::PageLayout layout :
+       {storage::PageLayout::kV1Packed, storage::PageLayout::kV2Aligned}) {
+    SCOPED_TRACE(storage::PageLayoutName(layout));
+    storage::MemoryDiskManager disk(512);
+    storage::GraphFileOptions opts;
+    opts.layout = layout;
+    auto file = storage::GraphFile::Build(g, &disk, opts).ValueOrDie();
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(file.PagesSpanned(v), 1u) << "node " << v;
+    }
+    storage::BufferPool pool(&disk, 32, storage::ReplacementPolicy::kLru,
+                             1);
+    storage::StoredGraph view(&file, &pool);
+
+    std::vector<NeighborCursor> cursors(g.num_nodes());
+    std::vector<std::span<const AdjEntry>> spans;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      auto span = view.Scan(v, cursors[v]);
+      ASSERT_TRUE(span.ok()) << "node " << v << ": "
+                             << span.status().ToString();
+      EXPECT_EQ(pool.num_pinned(), 0u) << "node " << v;
+      spans.push_back(*span);
+    }
+    // Every span is still live and still right.
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_TRUE(std::equal(spans[v].begin(), spans[v].end(),
+                             g.Neighbors(v).begin(), g.Neighbors(v).end()))
+          << "node " << v;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace grnn::graph

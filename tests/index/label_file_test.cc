@@ -1,8 +1,8 @@
 // LabelFile round-trip and pin discipline: build -> persist -> reopen
 // must answer identical Query(u,v) for sampled pairs on the paper's
 // graph families, stored scans must match the in-memory index
-// entry-for-entry on every page-size/pool configuration (lease-friendly
-// pool, copy-mode tiny pool, page-straddling labels), no code path —
+// entry-for-entry on every page-size/pool configuration (64-frame pool,
+// 8-frame pool, page-straddling labels), no code path —
 // including early exits — may leak a buffer-pool pin (the
 // network_view_conformance pattern), and corrupt headers, directories
 // or label blobs must surface as Status::Corruption.
@@ -106,7 +106,7 @@ TEST(LabelFile, StoredScansMatchMemoryOnAllWorlds) {
     auto g = WorldGraph(family, 1 + static_cast<uint64_t>(family));
     auto index = BuildIndex(g);
     // 512-byte pages: plenty of multi-label pages and some straddling
-    // labels behind a lease-friendly 64-frame pool.
+    // labels behind a 64-frame pool.
     storage::MemoryDiskManager disk(512);
     auto file = LabelFile::Build(index, &disk).ValueOrDie();
     storage::BufferPool pool(&disk, 64);
@@ -135,9 +135,8 @@ TEST(LabelFile, CopyModePoolHoldsNoPins) {
   auto index = BuildIndex(g);
   storage::MemoryDiskManager disk(512);
   auto file = LabelFile::Build(index, &disk).ValueOrDie();
-  // 8 frames < kMinFramesPerShardForLease: every scan copies + unpins.
+  // A small 8-frame pool: every scan copies + unpins.
   storage::BufferPool pool(&disk, 8);
-  ASSERT_FALSE(pool.lease_friendly());
   StoredLabelIndex stored(&file, &pool);
   LabelCursor cursor;
   for (NodeId n = 0; n < stored.num_nodes(); ++n) {
@@ -356,7 +355,6 @@ TEST(LabelFileDelta, ScansNeverLeaseAndTinyPagesStraddle) {
   storage::MemoryDiskManager disk(64);
   auto file = LabelFile::Build(index, &disk).ValueOrDie();
   storage::BufferPool pool(&disk, 64);
-  ASSERT_TRUE(pool.lease_friendly());
   StoredLabelIndex stored(&file, &pool);
   LabelCursor cursor;
   for (NodeId n = 0; n < stored.num_nodes(); ++n) {
@@ -365,7 +363,8 @@ TEST(LabelFileDelta, ScansNeverLeaseAndTinyPagesStraddle) {
     ASSERT_EQ(span.size(), want.size()) << "node " << n;
     EXPECT_TRUE(std::equal(span.begin(), span.end(), want.begin()))
         << "node " << n;
-    // Scans decode into the cursor even on lease-friendly pools.
+    // Scans decode into the cursor even when the pool has frames to
+    // spare.
     EXPECT_EQ(pool.num_pinned(), 0u) << "node " << n;
   }
 }

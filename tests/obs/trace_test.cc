@@ -83,8 +83,7 @@ TEST(TraceContextTest, ArenaCapCountsDroppedSpans) {
   EXPECT_TRUE(ctx.AllClosed());
 }
 
-// ScopedSpan must close the tree on early error returns, mirroring the
-// workspace's ReleaseLeases discipline.
+// ScopedSpan must close the tree on early error returns.
 Status FailsMidSpan(TraceContext* ctx) {
   ScopedSpan outer(ctx, "query");
   ScopedSpan inner(ctx, "hub.sweep");
