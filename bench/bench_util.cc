@@ -73,12 +73,6 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
       args.queries = static_cast<size_t>(std::atoll(a + 10));
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
       args.seed = static_cast<uint64_t>(std::atoll(a + 7));
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      args.threads = std::atoi(a + 10);
-      if (args.threads < 1) {
-        std::fprintf(stderr, "--threads= must be >= 1\n");
-        std::exit(2);
-      }
     } else if (std::strncmp(a, "--json=", 7) == 0) {
       args.json_path = a + 7;
     } else if (std::strncmp(a, "--algos=", 8) == 0) {
@@ -86,9 +80,8 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf(
           "options: --scale=small|medium|full|large --queries=N --seed=S "
-          "--threads=N --json=PATH --algos=E,EM,L,LP (also BF, and hub "
-          "(H) on benches serving the hub-label index — all four query "
-          "kinds, incl. continuous and unrestricted)\n");
+          "--json=PATH --algos=E,EM,L,LP (BF and hub/H parse, but the "
+          "four-way benches skip them)\n");
     }
   }
   return args;
@@ -250,8 +243,7 @@ Result<core::RknnEngine> MakeUnrestrictedEngine(
 }
 
 Result<core::RknnEngine> MakeRestrictedUpdatableEngine(
-    const StoredRestricted& env, core::NodePointSet& points,
-    obs::MetricsRegistry* metrics) {
+    const StoredRestricted& env, core::NodePointSet& points) {
   core::EngineSources sources;
   sources.graph = env.view.get();
   sources.points = &points;
@@ -259,7 +251,6 @@ Result<core::RknnEngine> MakeRestrictedUpdatableEngine(
   sources.pool = env.pool.get();
   sources.updates.points = &points;
   sources.updates.knn = env.knn_store.get();
-  sources.metrics = metrics;
   return core::RknnEngine::Create(sources);
 }
 
@@ -396,8 +387,7 @@ JsonReport::JsonReport(std::string bench, const BenchArgs& args)
       path_(args.json_path),
       scale_(args.scale_name()),
       seed_(args.seed),
-      queries_(args.queries),
-      threads_(args.threads) {}
+      queries_(args.queries) {}
 
 void JsonReport::AddConfig(std::string name, Metrics metrics) {
   configs_.emplace_back(std::move(name), std::move(metrics));
@@ -480,14 +470,13 @@ Status JsonReport::WriteIfRequested() const {
   std::fprintf(f,
                "{\n  \"bench\": \"%s\",\n  \"scale\": \"%s\",\n"
                "  \"seed\": %llu,\n  \"queries\": %zu,\n"
-               "  \"threads\": %d,\n"
                "  \"meta\": {\"git_sha\": \"%s\", \"compiler\": \"%s\", "
                "\"build_type\": \"%s\", \"hardware_concurrency\": %u, "
                "\"page_size\": %ld},\n"
                "  \"configs\": [",
                JsonEscape(bench_).c_str(), JsonEscape(scale_).c_str(),
                static_cast<unsigned long long>(seed_), queries_,
-               threads_, JsonEscape(GRNN_GIT_SHA).c_str(),
+               JsonEscape(GRNN_GIT_SHA).c_str(),
                JsonEscape(CompilerString()).c_str(),
                JsonEscape(GRNN_BUILD_TYPE).c_str(),
                std::thread::hardware_concurrency(),

@@ -8,16 +8,10 @@
 //                               otherwise an alias for full)
 //   --queries=N                 workload size (default 50, as the paper)
 //   --seed=S                    RNG seed (default 1)
-//   --threads=N                 worker threads for engine batches
-//                               (default 1 = serial; used by benches that
-//                               serve through RunBatch, e.g.
-//                               bench_throughput)
 //   --json=PATH                 machine-readable output: per-config
 //                               metrics (qps, page accesses, wall time)
 //                               written as JSON next to the tables, so
 //                               CI can archive a perf trajectory
-//                               (bench_micro forwards the flag to google
-//                               benchmark's own JSON reporter)
 
 #ifndef GRNN_BENCH_BENCH_UTIL_H_
 #define GRNN_BENCH_BENCH_UTIL_H_
@@ -58,15 +52,12 @@ struct BenchArgs {
   ScaleLevel scale = ScaleLevel::kMedium;
   size_t queries = 50;
   uint64_t seed = 1;
-  /// Worker threads for parallel RunBatch serving (core::ParallelOptions);
-  /// 1 keeps the paper's serial execution model.
-  int threads = 1;
   /// When non-empty, benches write their per-config metrics here as JSON
   /// (see JsonReport).
   std::string json_path;
   /// Paper algorithms to run, figure order. `--algos=E,LP` (any form
-  /// ParseAlgorithm accepts, including `hub`/`H` for the label-backed
-  /// path on benches that serve a hub-label index) narrows the sweep.
+  /// ParseAlgorithm accepts) narrows the sweep; the four-way benches
+  /// skip `BF` and `hub`/`H`, which have no figure column.
   std::vector<core::Algorithm> algos{std::begin(core::kAllAlgorithms),
                                      std::end(core::kAllAlgorithms)};
 
@@ -227,12 +218,9 @@ Result<core::RknnEngine> MakeUnrestrictedEngine(
 /// Engine with live-update sinks over a stored restricted environment:
 /// queries and core::UpdateSpec inserts/deletes (maintaining
 /// env.knn_store incrementally) may run concurrently. `points` must be
-/// the set the environment's KNN file was materialized from. A non-null
-/// `metrics` registers the engine's collector (engine.* / pool.* /
-/// wal.*) on that registry; it must outlive the engine.
+/// the set the environment's KNN file was materialized from.
 Result<core::RknnEngine> MakeRestrictedUpdatableEngine(
-    const StoredRestricted& env, core::NodePointSet& points,
-    obs::MetricsRegistry* metrics = nullptr);
+    const StoredRestricted& env, core::NodePointSet& points);
 
 /// Updatable unrestricted engine (the Fig 22 maintenance workload). The
 /// engine reads edge points through its in-memory reader — a stored
@@ -287,8 +275,9 @@ void PrintBanner(const std::string& title, const BenchArgs& args,
 /// \brief Machine-readable bench report (--json=PATH): one JSON object
 /// per bench run carrying the run parameters and a row of numeric
 /// metrics per measured configuration, e.g.
-///   {"bench": "throughput", "scale": "small", ..., "configs": [
-///     {"name": "threads=1", "qps": 304.1, "wall_s": 6.57, ...}, ...]}
+///   {"bench": "fig21_buffer", "scale": "small", ..., "configs": [
+///     {"name": "buffer=64,algo=E", "qps_cpu": 304.1, "cpu_s": 0.16,
+///      ...}, ...]}
 /// Collect rows unconditionally (the cost is trivial) and call
 /// WriteIfRequested at the end; without --json= it does nothing.
 class JsonReport {
@@ -326,7 +315,6 @@ class JsonReport {
   std::string scale_;
   uint64_t seed_;
   size_t queries_;
-  int threads_;
   std::vector<std::pair<std::string, Metrics>> configs_;
   std::string metrics_json_;
 };

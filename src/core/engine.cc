@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <mutex>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "storage/wal.h"
 #include "core/brute_force.h"
 #include "core/eager.h"
@@ -65,10 +63,6 @@ struct RknnEngine::State {
   /// Guards the lifetime counters.
   mutable std::mutex stats_mu;
   EngineStats lifetime;
-  /// Owns the worker team; held for the duration of a parallel batch,
-  /// so concurrent parallel batches serialize here.
-  std::mutex workers_mu;
-  std::unique_ptr<common::ThreadPool> workers;
 
   // --- Serving layer (EngineSources::snapshot_reads only) ---
   /// Reclaims retired world versions once their epoch drains.
@@ -195,20 +189,6 @@ UpdateSpec UpdateSpec::DeleteEdgePoint(PointId point) {
   spec.set = UpdateSet::kEdgePoints;
   spec.point = point;
   return spec;
-}
-
-RknnEngine::MixedOp RknnEngine::MixedOp::Query(QuerySpec spec) {
-  MixedOp op;
-  op.is_update = false;
-  op.query = std::move(spec);
-  return op;
-}
-
-RknnEngine::MixedOp RknnEngine::MixedOp::Update(UpdateSpec spec) {
-  MixedOp op;
-  op.is_update = true;
-  op.update = spec;
-  return op;
 }
 
 QuerySpec QuerySpec::Monochromatic(Algorithm a, NodeId node, int k,
@@ -610,8 +590,8 @@ void RknnEngine::PublishVersion(
   }
   // Unpublished first, retired second: no new reader can acquire `old`,
   // so its epoch tag bounds every reader still using it.
-  // (Traced only when an armed trace is live on this thread — e.g. an
-  // update inside a traced mixed stream; null otherwise.)
+  // (Traced only when an armed trace is live on this thread; null
+  // otherwise.)
   obs::ScopedSpan span(obs::CurrentTrace(), "epoch.retire");
   state_->epochs.Retire(std::move(old));
 }
@@ -1622,83 +1602,7 @@ Result<RknnEngine::UpdateResult> RknnEngine::ApplyUpdate(
   return result;
 }
 
-Result<RknnEngine::MixedBatchResult> RknnEngine::RunMixedBatch(
-    std::span<const MixedOp> ops) {
-  std::unique_ptr<SearchWorkspace> ws = AcquireWorkspace();
-  MixedBatchResult batch;
-  batch.results.reserve(ops.size());
-  const storage::IoStats io_before =
-      src_.pool != nullptr ? src_.pool->stats() : storage::IoStats{};
-  // Committed ops are flushed into the lifetime counters even when a
-  // later op aborts the batch: the updates persisted, so the zero-
-  // stat-loss invariant demands they be counted.
-  auto flush_lifetime = [&] {
-    if (src_.pool != nullptr) {
-      batch.stats.io = src_.pool->stats() - io_before;
-    }
-    std::lock_guard<std::mutex> lock(state_->stats_mu);
-    state_->lifetime += batch.stats;
-  };
-  for (const MixedOp& op : ops) {
-    MixedOpResult out;
-    if (op.is_update) {
-      Result<UpdateResult> r = DispatchUpdate(op.update);
-      if (!r.ok()) {
-        ReleaseWorkspace(std::move(ws));
-        flush_lifetime();
-        return r.status();
-      }
-      batch.stats.updates++;
-      batch.stats.update += r->stats;
-      out.update = std::move(*r);
-    } else {
-      const size_t footprint = ws->CapacityFootprint();
-      Result<RknnResult> r = Dispatch(op.query, *ws);
-      if (!r.ok()) {
-        ReleaseWorkspace(std::move(ws));
-        flush_lifetime();
-        return r.status();
-      }
-      batch.stats.queries++;
-      batch.stats.search += r->stats;
-      if (ws->CapacityFootprint() > footprint) {
-        batch.stats.workspace_grows++;
-      }
-      out.query = std::move(*r);
-    }
-    batch.results.push_back(std::move(out));
-  }
-  ReleaseWorkspace(std::move(ws));
-  flush_lifetime();
-  return batch;
-}
-
 Result<RknnEngine::BatchResult> RknnEngine::RunBatch(
-    std::span<const QuerySpec> specs) {
-  return RunBatchSerial(specs);
-}
-
-Result<RknnEngine::BatchResult> RknnEngine::RunBatch(
-    std::span<const QuerySpec> specs, const ParallelOptions& parallel) {
-  // Serial for num_threads <= 1 (including nonsense negative values)
-  // BEFORE any size_t arithmetic on the thread count.
-  int workers = parallel.num_threads;
-  if (workers <= 1) {
-    return RunBatchSerial(specs);
-  }
-  const size_t chunk =
-      parallel.chunk < 1 ? 1 : static_cast<size_t>(parallel.chunk);
-  const size_t num_chunks = (specs.size() + chunk - 1) / chunk;
-  if (static_cast<size_t>(workers) > num_chunks) {
-    workers = static_cast<int>(num_chunks);
-  }
-  if (workers <= 1) {
-    return RunBatchSerial(specs);
-  }
-  return RunBatchParallel(specs, workers, chunk, num_chunks);
-}
-
-Result<RknnEngine::BatchResult> RknnEngine::RunBatchSerial(
     std::span<const QuerySpec> specs) {
   std::unique_ptr<SearchWorkspace> ws = AcquireWorkspace();
   BatchResult batch;
@@ -1720,92 +1624,6 @@ Result<RknnEngine::BatchResult> RknnEngine::RunBatchSerial(
     batch.results.push_back(std::move(*result));
   }
   ReleaseWorkspace(std::move(ws));
-  if (src_.pool != nullptr) {
-    batch.stats.io = src_.pool->stats() - io_before;
-  }
-  std::lock_guard<std::mutex> lock(state_->stats_mu);
-  state_->lifetime += batch.stats;
-  return batch;
-}
-
-Result<RknnEngine::BatchResult> RknnEngine::RunBatchParallel(
-    std::span<const QuerySpec> specs, int num_workers, size_t chunk,
-    size_t num_chunks) {
-  // One parallel batch owns the worker team at a time; concurrent
-  // parallel batches on the same engine queue up here (concurrent Run /
-  // serial RunBatch calls are unaffected).
-  std::lock_guard<std::mutex> team_lock(state_->workers_mu);
-  if (state_->workers == nullptr ||
-      state_->workers->num_threads() < num_workers) {
-    state_->workers = std::make_unique<common::ThreadPool>(num_workers);
-  }
-  common::ThreadPool& team = *state_->workers;
-  // The team may be wider than this batch asked for (it persists across
-  // batches and only grows); the job below is capped to `num_workers`
-  // so the requested parallelism is honoured exactly.
-
-  // One leased workspace per worker (not per chunk): a worker reuses its
-  // workspace across every chunk it claims, and the lease returns to the
-  // pool afterwards, so warm batches stay allocation-free per worker.
-  std::vector<std::unique_ptr<SearchWorkspace>> leases;
-  leases.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    leases.push_back(AcquireWorkspace());
-  }
-
-  BatchResult batch;
-  batch.results.resize(specs.size());
-  std::vector<EngineStats> worker_stats(static_cast<size_t>(num_workers));
-  const storage::IoStats io_before =
-      src_.pool != nullptr ? src_.pool->stats() : storage::IoStats{};
-
-  // Serial semantics on failure: report the lowest-index failing query.
-  // `failed` short-circuits chunks that start after a failure was seen;
-  // chunks already running finish their current query and stop.
-  std::atomic<bool> failed{false};
-  std::mutex err_mu;
-  size_t first_bad = SIZE_MAX;
-  Status err = Status::OK();
-
-  team.ParallelFor(num_chunks, [&](int worker, size_t c) {
-    if (failed.load(std::memory_order_relaxed)) {
-      return;
-    }
-    SearchWorkspace& ws = *leases[static_cast<size_t>(worker)];
-    EngineStats& stats = worker_stats[static_cast<size_t>(worker)];
-    const size_t begin = c * chunk;
-    const size_t end = std::min(specs.size(), begin + chunk);
-    for (size_t i = begin; i < end; ++i) {
-      const size_t footprint = ws.CapacityFootprint();
-      Result<RknnResult> result = Dispatch(specs[i], ws);
-      if (!result.ok()) {
-        failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (i < first_bad) {
-          first_bad = i;
-          err = result.status();
-        }
-        return;
-      }
-      stats.queries++;
-      stats.search += result->stats;
-      if (ws.CapacityFootprint() > footprint) {
-        stats.workspace_grows++;
-      }
-      batch.results[i] = std::move(*result);
-    }
-  }, num_workers);
-
-  for (auto& lease : leases) {
-    ReleaseWorkspace(std::move(lease));
-  }
-  if (first_bad != SIZE_MAX) {
-    return err;
-  }
-  // Deterministic merge: per-worker counters summed in worker order.
-  for (const EngineStats& stats : worker_stats) {
-    batch.stats += stats;
-  }
   if (src_.pool != nullptr) {
     batch.stats.io = src_.pool->stats() - io_before;
   }

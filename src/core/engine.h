@@ -8,18 +8,18 @@
 // (Section 5.1), continuous route queries (Section 5.1) and unrestricted
 // edge-position queries (Section 5.2). The engine owns the graph view,
 // the point sources, the materialization and the buffer pool once, and
-// answers any QuerySpec through Run(); RunBatch() additionally reuses
-// pooled SearchWorkspaces so consecutive queries stop paying per-call
-// allocation, and fans independent queries out over a worker pool when
-// given ParallelOptions (see DESIGN.md, "The engine" and "Concurrency
-// model").
+// answers any QuerySpec through Run(); RunBatch() answers a batch
+// serially over one pooled SearchWorkspace so consecutive queries stop
+// paying per-call allocation (see DESIGN.md, "The engine" and
+// "Concurrency model"). The engine owns no threads: parallelism comes
+// only from callers invoking it from several threads.
 //
 // Concurrency contract (PR 2 audit, extended by the PR 3 live-update
 // path; full protocol in DESIGN.md, "Concurrency model"):
-//   * One engine may serve Run / RunBatch / ApplyUpdate / RunMixedBatch
-//     calls from many threads concurrently. Mutable per-query state
-//     lives in pooled SearchWorkspaces (one per in-flight query /
-//     worker); lifetime counters are mutex-guarded.
+//   * One engine may serve Run / RunBatch / ApplyUpdate calls from many
+//     threads concurrently. Mutable per-query state lives in pooled
+//     SearchWorkspaces (one per in-flight call); lifetime counters are
+//     mutex-guarded.
 //   * Queries and updates synchronize on per-domain reader-writer locks
 //     (domains: node points + their KNN store, sites + site store, edge
 //     points + their store). A query takes shared access on the domains
@@ -35,8 +35,8 @@
 //     StoredEdgePointReader) serialize on their BufferPool shard and
 //     unpin every page before returning, so no pin outlives a call.
 //   * Updating a point set or KNN store BEHIND the engine's back (not
-//     through ApplyUpdate / RunMixedBatch) while queries run remains
-//     unsupported — quiesce first.
+//     through ApplyUpdate) while queries run remains unsupported —
+//     quiesce first.
 //   * The hub-label point indices (EngineSources::hub_labels, PR 5) are
 //     engine-owned DERIVED state covering all three point domains
 //     (points, sites, edge points). Every update patches its domain's
@@ -65,7 +65,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -227,8 +226,8 @@ struct EngineSources {
   const index::LabelStore* hub_labels = nullptr;
   /// When set, RunBatch reports the I/O charged to this pool per batch.
   storage::BufferPool* pool = nullptr;
-  /// Mutable aliases of the sources above; unlocks ApplyUpdate /
-  /// RunMixedBatch for the populations that are set.
+  /// Mutable aliases of the sources above; unlocks ApplyUpdate for the
+  /// populations that are set.
   UpdateSinks updates;
   /// \brief Opt into the epoch-snapshot read path (the serving layer,
   /// src/serve/): queries pin an epoch and run against immutable
@@ -263,24 +262,6 @@ struct EngineSources {
   obs::TraceOptions trace;
 };
 
-/// \brief Execution knobs for RunBatch.
-///
-/// `num_threads <= 1` (the default) runs the batch serially on the
-/// calling thread. With more threads the batch is cut into chunks of
-/// `chunk` consecutive specs, executed by a pooled worker team with one
-/// SearchWorkspace per worker; results land at their spec index, so the
-/// output is bit-for-bit identical to serial execution regardless of
-/// scheduling. The worker pool and the workspaces persist inside the
-/// engine across batches (the warm-batch zero-allocation invariant
-/// holds per worker).
-struct ParallelOptions {
-  /// Worker threads executing queries; the calling thread only waits.
-  int num_threads = 1;
-  /// Consecutive specs per scheduling unit. Larger chunks amortize
-  /// scheduling, smaller chunks balance skewed per-query costs.
-  int chunk = 16;
-};
-
 /// Aggregated execution counters, kept per batch and cumulatively for
 /// the engine lifetime.
 struct EngineStats {
@@ -291,7 +272,7 @@ struct EngineStats {
   /// After a warm-up query on a given graph this stays flat: batched
   /// execution performs no per-query workspace allocation.
   uint64_t workspace_grows = 0;
-  /// Updates applied (ApplyUpdate / RunMixedBatch update ops).
+  /// Updates applied through ApplyUpdate.
   uint64_t updates = 0;
   /// Maintenance-cost totals over those updates (Fig 22's metric), so
   /// benches read update cost off the engine instead of side tallies.
@@ -330,11 +311,9 @@ class RknnEngine {
   Result<RknnResult> Run(const QuerySpec& spec);
 
   struct BatchResult {
-    /// Per-query results, in spec order (identical for serial and
-    /// parallel execution).
+    /// Per-query results, in spec order.
     std::vector<RknnResult> results;
-    /// Aggregated over the batch (search counters and workspace_grows
-    /// summed over all workers; io is the buffer-pool delta during the
+    /// Aggregated over the batch (io is the buffer-pool delta during the
     /// batch when the engine has a pool — under concurrent callers that
     /// delta includes their traffic too).
     EngineStats stats;
@@ -371,64 +350,14 @@ class RknnEngine {
   /// errors mean real I/O trouble, not concurrency noise.)
   Result<UpdateResult> ApplyUpdate(const UpdateSpec& spec);
 
-  /// \brief One operation of a mixed read/write batch.
-  struct MixedOp {
-    bool is_update = false;
-    QuerySpec query;    // valid when !is_update
-    UpdateSpec update;  // valid when is_update
-
-    static MixedOp Query(QuerySpec spec);
-    static MixedOp Update(UpdateSpec spec);
-  };
-
-  /// Result of one mixed op: exactly one member is engaged, matching the
-  /// op's type.
-  struct MixedOpResult {
-    std::optional<RknnResult> query;
-    std::optional<UpdateResult> update;
-  };
-
-  struct MixedBatchResult {
-    /// Per-op results, in op order.
-    std::vector<MixedOpResult> results;
-    /// Aggregated over the batch (queries + updates + io delta).
-    EngineStats stats;
-  };
-
-  /// Runs a mixed stream of queries and updates in op order on the
-  /// calling thread. Determinism contract: given the same starting world
-  /// and ops, the results are identical — each query observes exactly
-  /// the updates that precede it in the batch (plus whatever concurrent
-  /// callers commit, each one atomically). Queries reuse one pooled
-  /// workspace; each op takes its own domain locks, so a long mixed
-  /// batch never starves concurrent readers for more than one update.
-  ///
-  /// The first failing op aborts the batch and returns only its error:
-  /// updates committed by EARLIER ops persist, and their UpdateResults
-  /// (including engine-assigned insert ids) are discarded with the
-  /// batch. Callers mixing fallible queries with inserts they may need
-  /// to reference afterwards should validate specs up front or issue
-  /// the inserts through ApplyUpdate.
-  Result<MixedBatchResult> RunMixedBatch(std::span<const MixedOp> ops);
-
-  /// Answers a batch with `parallel.num_threads` pooled workers, one
-  /// leased workspace per worker. Results and error behaviour match the
-  /// serial form: results are ordered by spec index, and a failure
-  /// reports the error of the lowest-index failing query (workers stop
-  /// picking up new chunks once a failure is seen). Concurrent parallel
-  /// batches on one engine serialize on the engine's worker pool.
-  Result<BatchResult> RunBatch(std::span<const QuerySpec> specs,
-                               const ParallelOptions& parallel);
-
   /// \brief Rebuilds the hub-label point indices from the CURRENT point
   /// and site sets and clears the staleness flag, under exclusive locks
   /// on both node domains (safe concurrent with queries and updates).
   ///
   /// Staleness contract (Algorithm::kHubLabel): the labels themselves
   /// depend only on the immutable graph, and the derived inverted
-  /// point indices are maintained INCREMENTALLY — every ApplyUpdate /
-  /// RunMixedBatch update splices the one changed point into its
-  /// domain's index (in place under the held exclusive lock in lock
+  /// point indices are maintained INCREMENTALLY — every ApplyUpdate
+  /// splices the one changed point into its domain's index (in place under the held exclusive lock in lock
   /// mode; clone-and-splice onto the published version in snapshot
   /// mode), so updates do NOT take the label path away. The stale
   /// flag trips only when a patch fails structurally (e.g. a
@@ -452,8 +381,8 @@ class RknnEngine {
 
   const EngineSources& sources() const { return src_; }
 
-  /// Number of idle pooled workspaces (diagnostics: after a parallel
-  /// batch with N workers this is at least N).
+  /// Number of idle pooled workspaces (diagnostics: after N concurrent
+  /// calls have returned this is at least N).
   size_t num_pooled_workspaces() const;
 
   /// Epoch-reclamation counters of the serving layer (all zero when
@@ -536,16 +465,12 @@ class RknnEngine {
                                      const UnrestrictedQuery& query,
                                      const QueryWorld& world,
                                      SearchWorkspace& ws);
-  Result<BatchResult> RunBatchSerial(std::span<const QuerySpec> specs);
-  Result<BatchResult> RunBatchParallel(std::span<const QuerySpec> specs,
-                                       int num_workers, size_t chunk,
-                                       size_t num_chunks);
 
   EngineSources src_;
   std::unique_ptr<MemoryEdgePointReader> owned_reader_;
-  // All mutable serving state (workspace pool, worker team, lifetime
-  // counters and their mutexes) lives behind one pointer so the engine
-  // stays cheaply movable.
+  // All mutable serving state (workspace pool, lifetime counters and
+  // their mutexes) lives behind one pointer so the engine stays cheaply
+  // movable.
   std::unique_ptr<State> state_;
 };
 

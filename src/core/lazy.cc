@@ -118,7 +118,8 @@ Result<bool> LazyState::VerifyWithBookkeeping(PointId candidate,
   vbest.Set(host, 0.0);
 
   std::vector<Weight> competitors;  // k smallest, ascending
-  competitors.reserve(k);
+  // Capped at the live points, the most it can hold (k may exceed |P|).
+  competitors.reserve(std::min(k, points_.num_points()));
 
   while (!vheap.empty()) {
     auto [dist, node] = vheap.Pop();

@@ -115,9 +115,12 @@ Result<NnSearcher::VerifyOutcome> NnSearcher::Verify(
   heap_.Push(0.0, start);
   best_.Set(start, 0.0);
 
-  // k smallest competitor distances seen so far (ascending).
+  // k smallest competitor distances seen so far (ascending). It never
+  // holds more than the live points, so a huge k (valid: k >= |P|) must
+  // not size the reservation.
   std::vector<Weight> competitors;
-  competitors.reserve(static_cast<size_t>(k));
+  competitors.reserve(
+      std::min(static_cast<size_t>(k), points_->num_points()));
 
   while (!heap_.empty()) {
     auto [dist, node] = heap_.Pop();

@@ -34,8 +34,8 @@ Result<Algorithm> ParseAlgorithm(std::string_view name);
 /// The paper's four algorithms in the order its figures list them.
 /// kHubLabel is deliberately NOT here: the figure benches and the
 /// four-way harness sweep exactly the paper's algorithms; the hub-label
-/// path is opt-in (--algos=hub, bench_hub_label, the differential
-/// harness's hub phase).
+/// path is opt-in (perfbench's hub-serve and stored-expand workloads,
+/// the differential harness's hub phase).
 inline constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kEager, Algorithm::kEagerM, Algorithm::kLazy,
     Algorithm::kLazyEp};

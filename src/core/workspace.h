@@ -2,7 +2,7 @@
 // SearchWorkspace: the reusable search state threaded through every RkNN
 // algorithm so that consecutive queries (RknnEngine::RunBatch) stop paying
 // per-call allocation. RknnEngine pools workspaces and leases one per
-// in-flight query / parallel worker; a workspace itself is single-owner
+// in-flight Run or RunBatch call; a workspace itself is single-owner
 // mutable state and must never be shared by two live queries.
 //
 // All algorithms draw their expansion state from one workspace. The

@@ -73,7 +73,7 @@ class EpochManager {
  public:
   /// Concurrent pins beyond this spin until a slot frees up (counted in
   /// pin_retries). 64 cache-line-sized slots cover far more reader
-  /// threads than the engine's worker pools ever field.
+  /// threads than the engine's callers ever field.
   static constexpr size_t kNumSlots = 64;
 
   EpochManager() = default;

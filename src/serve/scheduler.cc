@@ -48,15 +48,16 @@ Scheduler::Scheduler(core::RknnEngine* engine, SchedulerOptions options)
   opts_.num_workers = std::max(opts_.num_workers, 1);
   opts_.queue_capacity = std::max<size_t>(opts_.queue_capacity, 1);
   opts_.max_batch = std::max<size_t>(opts_.max_batch, 1);
-  pool_ = std::make_unique<common::ThreadPool>(opts_.num_workers);
-  // One ParallelFor job hosts every worker for the scheduler's
-  // lifetime: drain loops exit only at Shutdown, so batches never pay
-  // per-batch job setup and workers never serialize behind each other
-  // at the pool (it runs one job at a time).
-  driver_ = std::thread([this] {
-    pool_->ParallelFor(static_cast<size_t>(opts_.num_workers),
-                       [this](int, size_t) { WorkerLoop(); });
-  });
+  workers_.reserve(static_cast<size_t>(opts_.num_workers));
+  try {
+    for (int i = 0; i < opts_.num_workers; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (...) {
+    // A failed spawn must not leave the started workers unjoined.
+    Shutdown();
+    throw;
+  }
   if (opts_.metrics != nullptr) {
     // Poll-at-snapshot bridge (obs/metrics.h): one registry Snapshot()
     // sees the scheduler next to the engine/pool/WAL counters.
@@ -89,8 +90,10 @@ void Scheduler::Shutdown() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  if (driver_.joinable()) {
-    driver_.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) {
+      worker.join();
+    }
   }
 }
 

@@ -24,11 +24,10 @@
 //     execution starts completes with kResourceExhausted instead of
 //     burning engine time on an answer the client stopped waiting for.
 //
-// Workers are long-running drain loops laid out over the PR 2 thread
-// pool (one ParallelFor job for the scheduler's lifetime), so batch
-// execution never re-pays thread-pool job setup per batch. Per-request
-// latency (submit to completion) is recorded in a log-linear histogram
-// exposed through stats(); bench_serve reads p50/p95/p99 off it.
+// Workers are long-running drain loops, one std::thread each, started by
+// the constructor and joined by Shutdown. Per-request latency (submit to
+// completion) is recorded in a log-linear histogram exposed through
+// stats().
 //
 // Thread-safety: Submit may be called from any number of threads
 // concurrently with the workers; Ticket::Wait from any thread.
@@ -50,7 +49,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/types.h"
 #include "obs/histogram.h"
@@ -64,8 +62,7 @@ namespace grnn::serve {
 using LatencyHistogram = obs::Histogram;
 
 struct SchedulerOptions {
-  /// Worker drain loops executing batches (laid out over one PR 2
-  /// thread pool for the scheduler's lifetime).
+  /// Worker threads, each a drain loop executing batches.
   int num_workers = 1;
   /// Admission bound: requests beyond this many waiting are shed.
   size_t queue_capacity = 1024;
@@ -175,10 +172,11 @@ class Scheduler {
   mutable std::mutex stats_mu_;
   Stats stats_;
 
-  std::unique_ptr<common::ThreadPool> pool_;
-  std::thread driver_;
   /// Collector registered on opts_.metrics (0 = none).
   uint64_t collector_token_ = 0;
+  /// The drain loops; declared last so everything they read outlives
+  /// them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace grnn::serve

@@ -104,7 +104,7 @@ struct WalRecord {
 };
 
 /// Counters for the WAL's own activity (surfaced per update through
-/// core::UpdateStats and by bench_mixed_rw --wal).
+/// core::UpdateStats and by perfbench's durable-mixed workload).
 struct WalStats {
   uint64_t records_appended = 0;
   uint64_t bytes_appended = 0;  // payload + framing

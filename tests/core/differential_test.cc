@@ -4,9 +4,9 @@
 // graph families (grid / BRITE / road, src/gen/), places node points,
 // sites and edge points, and fires QuerySpecs across every
 // kind x algorithm x k x exclusion combination. Every result is checked
-// against the independent brute-force oracle, and the full spec batch is
-// re-executed through the parallel RunBatch path, which must match the
-// serial path bit-for-bit (points, hosting nodes and distances).
+// against the independent brute-force oracle, and the full spec list is
+// re-executed by concurrent threads calling Run, which must match the
+// serial RunBatch bit-for-bit (points, hosting nodes and distances).
 //
 // On failure, the gtest parameter is the seed: replay with
 //   differential_test --gtest_filter='*/DifferentialHarness.*/<seed>'
@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/brute_force.h"
@@ -273,31 +274,47 @@ void CheckAgainstOracle(RknnEngine& engine,
   }
 }
 
-void CheckParallelMatchesSerial(RknnEngine& engine,
-                                const std::vector<QuerySpec>& specs,
-                                uint64_t seed) {
+// Concurrent dispatch on one engine: 4 threads call Run over the whole
+// spec list, each from its own offset so different queries overlap.
+// Every answer must equal the serial batch bit for bit, and each
+// thread's summed search counters must equal the batch's: concurrent
+// callers lose no stat and leak no workspace state into each other.
+void CheckConcurrentRunsMatchSerial(RknnEngine& engine,
+                                    const std::vector<QuerySpec>& specs,
+                                    uint64_t seed) {
   auto serial = engine.RunBatch(specs);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (ParallelOptions par : {ParallelOptions{2, 7},
-                              ParallelOptions{4, 3},
-                              ParallelOptions{8, 1}}) {
-    auto parallel = engine.RunBatch(specs, par);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ASSERT_EQ(parallel->results.size(), serial->results.size());
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::optional<RknnResult>>> got(
+      kThreads, std::vector<std::optional<RknnResult>>(specs.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t j = 0; j < specs.size(); ++j) {
+        const size_t i = (j + t * specs.size() / kThreads) % specs.size();
+        auto r = engine.Run(specs[i]);
+        if (r.ok()) {
+          got[t][i] = std::move(*r);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    SearchStats sum;
     for (size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(got[t][i].has_value())
+          << "replay: seed=" << seed << " spec=" << i << " thread=" << t;
       // Bit-for-bit: same points, same hosting nodes, same distances.
-      EXPECT_EQ(parallel->results[i].results, serial->results[i].results)
-          << "replay: seed=" << seed << " spec=" << i << " threads="
-          << par.num_threads << " chunk=" << par.chunk;
+      EXPECT_EQ(got[t][i]->results, serial->results[i].results)
+          << "replay: seed=" << seed << " spec=" << i << " thread=" << t;
+      sum += got[t][i]->stats;
     }
-    // Aggregated counters are order-independent sums: no stat loss.
-    EXPECT_EQ(parallel->stats.queries, serial->stats.queries);
-    EXPECT_EQ(parallel->stats.search.nodes_expanded,
-              serial->stats.search.nodes_expanded);
-    EXPECT_EQ(parallel->stats.search.verify_calls,
-              serial->stats.search.verify_calls);
-    EXPECT_EQ(parallel->stats.search.heap_pushes,
-              serial->stats.search.heap_pushes);
+    EXPECT_EQ(sum.nodes_expanded, serial->stats.search.nodes_expanded);
+    EXPECT_EQ(sum.verify_calls, serial->stats.search.verify_calls);
+    EXPECT_EQ(sum.heap_pushes, serial->stats.search.heap_pushes);
   }
 }
 
@@ -416,14 +433,14 @@ TEST_P(DifferentialHarness, EveryCombinationMatchesOracleAndParallel) {
        QueryKind::kContinuous},
       /*reps=*/2, rng);
   CheckAgainstOracle(node_engine, node_specs, seed);
-  CheckParallelMatchesSerial(node_engine, node_specs, seed);
+  CheckConcurrentRunsMatchSerial(node_engine, node_specs, seed);
 
   RknnEngine edge_engine = EdgeEngine(*w);
   auto edge_specs = MakeSpecs(
       *w, {QueryKind::kUnrestricted, QueryKind::kContinuous},
       /*reps=*/2, rng);
   CheckAgainstOracle(edge_engine, edge_specs, seed);
-  CheckParallelMatchesSerial(edge_engine, edge_specs, seed);
+  CheckConcurrentRunsMatchSerial(edge_engine, edge_specs, seed);
 }
 
 // The update-aware oracle: seeded bursts of engine inserts/deletes
@@ -432,8 +449,8 @@ TEST_P(DifferentialHarness, EveryCombinationMatchesOracleAndParallel) {
 //   (a) every maintained store must match a from-scratch BuildAllNn
 //       rebuild of the mutated world (distance multisets per node), and
 //   (b) the full kind x algorithm x k matrix must still match the
-//       brute-force oracle, serially and through the parallel batch
-//       path.
+//       brute-force oracle, serially and under concurrent Run
+//       callers.
 TEST_P(DifferentialHarness, UpdateBurstsKeepStoresAndMatrixExact) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("replay: differential_test seed=" + std::to_string(seed) +
@@ -477,12 +494,12 @@ TEST_P(DifferentialHarness, UpdateBurstsKeepStoresAndMatrixExact) {
          QueryKind::kContinuous},
         /*reps=*/1, rng);
     CheckAgainstOracle(node_engine, node_specs, seed);
-    CheckParallelMatchesSerial(node_engine, node_specs, seed);
+    CheckConcurrentRunsMatchSerial(node_engine, node_specs, seed);
     auto edge_specs = MakeSpecs(
         *w, {QueryKind::kUnrestricted, QueryKind::kContinuous},
         /*reps=*/1, rng);
     CheckAgainstOracle(edge_engine, edge_specs, seed);
-    CheckParallelMatchesSerial(edge_engine, edge_specs, seed);
+    CheckConcurrentRunsMatchSerial(edge_engine, edge_specs, seed);
   }
 
   // Update accounting survived the bursts: every applied op was counted.
@@ -495,7 +512,7 @@ TEST_P(DifferentialHarness, UpdateBurstsKeepStoresAndMatrixExact) {
 // disk-backed StoredGraph views must match the in-memory GraphView
 // engine bit-for-bit (points, hosting nodes, distances), for BOTH page
 // layouts — v1 packed (per-entry decode) and v2 aligned (one memcpy per
-// page) — serially and through the parallel batch path.
+// page) — serially and under concurrent Run callers.
 struct StoredWorld {
   std::unique_ptr<storage::MemoryDiskManager> disk;
   std::unique_ptr<storage::GraphFile> file;
@@ -565,14 +582,7 @@ TEST_P(DifferentialHarness, StoredLayoutsMatchMemoryEngineBitForBit) {
           << "spec=" << i;
     }
     EXPECT_EQ(sw.pool->num_pinned(), 0u);
-    auto parallel =
-        stored_node.RunBatch(node_specs, ParallelOptions{4, 5});
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    for (size_t i = 0; i < node_specs.size(); ++i) {
-      EXPECT_EQ(parallel->results[i].results,
-                node_want->results[i].results)
-          << "spec=" << i << " (parallel)";
-    }
+    CheckConcurrentRunsMatchSerial(stored_node, node_specs, seed);
     EXPECT_EQ(sw.pool->num_pinned(), 0u);
 
     EngineSources edge_sources;
@@ -589,14 +599,7 @@ TEST_P(DifferentialHarness, StoredLayoutsMatchMemoryEngineBitForBit) {
                 edge_want->results[i].results)
           << "spec=" << i;
     }
-    auto edge_parallel =
-        stored_edge.RunBatch(edge_specs, ParallelOptions{4, 3});
-    ASSERT_TRUE(edge_parallel.ok()) << edge_parallel.status().ToString();
-    for (size_t i = 0; i < edge_specs.size(); ++i) {
-      EXPECT_EQ(edge_parallel->results[i].results,
-                edge_want->results[i].results)
-          << "spec=" << i << " (parallel)";
-    }
+    CheckConcurrentRunsMatchSerial(stored_edge, edge_specs, seed);
     EXPECT_EQ(sw.pool->num_pinned(), 0u);
   }
 }
@@ -626,7 +629,7 @@ void ExpectHubIndexesIdentical(const index::HubPointIndex& got,
 // and continuous through the edge engine — x k x exclusion through
 // Algorithm::kHubLabel must match the brute-force oracle, from the
 // in-memory HubLabelIndex AND from a LabelFile reopened off disk,
-// serially and through the parallel batch path, with the two label
+// serially and under concurrent Run callers, with the two label
 // backends bit-for-bit identical to each other. Then seeded update
 // bursts flow through updatable engines: the incrementally maintained
 // indexes must never go stale (hub_fallbacks stays 0), a test-side
@@ -661,7 +664,7 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   auto specs =
       MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_engine, specs, seed);
-  CheckParallelMatchesSerial(mem_engine, specs, seed);
+  CheckConcurrentRunsMatchSerial(mem_engine, specs, seed);
   auto mem_batch = mem_engine.RunBatch(specs);
   ASSERT_TRUE(mem_batch.ok());
   // The label path actually served these (no silent fallback).
@@ -679,7 +682,7 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   auto edge_specs =
       MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_edge, edge_specs, seed);
-  CheckParallelMatchesSerial(mem_edge, edge_specs, seed);
+  CheckConcurrentRunsMatchSerial(mem_edge, edge_specs, seed);
   auto mem_edge_batch = mem_edge.RunBatch(edge_specs);
   ASSERT_TRUE(mem_edge_batch.ok());
   EXPECT_EQ(mem_edge_batch->stats.search.hub_fallbacks, 0u);
@@ -709,14 +712,7 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
         << "spec=" << i;
   }
   EXPECT_EQ(pool->num_pinned(), 0u);
-  auto stored_parallel =
-      stored_engine.RunBatch(specs, ParallelOptions{4, 5});
-  ASSERT_TRUE(stored_parallel.ok());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(stored_parallel->results[i].results,
-              mem_batch->results[i].results)
-        << "spec=" << i << " (parallel)";
-  }
+  CheckConcurrentRunsMatchSerial(stored_engine, specs, seed);
   EXPECT_EQ(pool->num_pinned(), 0u);
 
   auto stored_edge_serial = stored_edge.RunBatch(edge_specs);
@@ -727,14 +723,7 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
               mem_edge_batch->results[i].results)
         << "edge spec=" << i;
   }
-  auto stored_edge_parallel =
-      stored_edge.RunBatch(edge_specs, ParallelOptions{4, 3});
-  ASSERT_TRUE(stored_edge_parallel.ok());
-  for (size_t i = 0; i < edge_specs.size(); ++i) {
-    EXPECT_EQ(stored_edge_parallel->results[i].results,
-              mem_edge_batch->results[i].results)
-        << "edge spec=" << i << " (parallel)";
-  }
+  CheckConcurrentRunsMatchSerial(stored_edge, edge_specs, seed);
   EXPECT_EQ(pool->num_pinned(), 0u);
 
   // Incremental-maintenance bursts: every update splices the hub
@@ -891,8 +880,8 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
         << "edge spec=" << i << " (post-rebuild)";
   }
   EXPECT_EQ(after_edge->stats.search.hub_fallbacks, 0u);
-  CheckParallelMatchesSerial(up_node, final_node_specs, seed);
-  CheckParallelMatchesSerial(up_edge, final_edge_specs, seed);
+  CheckConcurrentRunsMatchSerial(up_node, final_node_specs, seed);
+  CheckConcurrentRunsMatchSerial(up_edge, final_edge_specs, seed);
 }
 
 // The hub-order phase: labels built with the PARTITION hub order must
@@ -931,7 +920,7 @@ TEST_P(DifferentialHarness, PartitionOrderedLabelsMatchOracle) {
   auto specs =
       MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_engine, specs, seed);
-  CheckParallelMatchesSerial(mem_engine, specs, seed);
+  CheckConcurrentRunsMatchSerial(mem_engine, specs, seed);
   auto mem_batch = mem_engine.RunBatch(specs);
   ASSERT_TRUE(mem_batch.ok());
   EXPECT_EQ(mem_batch->stats.search.hub_fallbacks, 0u);
@@ -946,7 +935,7 @@ TEST_P(DifferentialHarness, PartitionOrderedLabelsMatchOracle) {
   auto edge_specs =
       MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_edge, edge_specs, seed);
-  CheckParallelMatchesSerial(mem_edge, edge_specs, seed);
+  CheckConcurrentRunsMatchSerial(mem_edge, edge_specs, seed);
   auto mem_edge_batch = mem_edge.RunBatch(edge_specs);
   ASSERT_TRUE(mem_edge_batch.ok());
   EXPECT_EQ(mem_edge_batch->stats.search.hub_fallbacks, 0u);
@@ -974,14 +963,7 @@ TEST_P(DifferentialHarness, PartitionOrderedLabelsMatchOracle) {
               mem_batch->results[i].results)
         << "spec=" << i;
   }
-  auto stored_parallel =
-      stored_engine.RunBatch(specs, ParallelOptions{4, 5});
-  ASSERT_TRUE(stored_parallel.ok());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(stored_parallel->results[i].results,
-              mem_batch->results[i].results)
-        << "spec=" << i << " (parallel)";
-  }
+  CheckConcurrentRunsMatchSerial(stored_engine, specs, seed);
   auto stored_edge_serial = stored_edge.RunBatch(edge_specs);
   ASSERT_TRUE(stored_edge_serial.ok());
   for (size_t i = 0; i < edge_specs.size(); ++i) {
@@ -1028,12 +1010,12 @@ TEST_P(DifferentialHarness, CrashRecoveryRestoresAckedStateExactly) {
 
 // 6 seeds x (3 + 2) kinds x 4 algorithms x 3 k x 2 exclusion modes x
 // 2 reps = 2880 oracle-checked queries, each additionally replayed
-// through 3 parallel configurations — plus, per seed, 3 update bursts
+// by 4 concurrent Run threads — plus, per seed, 3 update bursts
 // each re-verified against rebuilt stores and the reduced (reps=1)
 // matrix, a storage-equivalence phase replaying the matrix through
 // StoredGraph v1/v2 engines, a hub-label phase holding
 // Algorithm::kHubLabel (memory + reopened stored labels, serial +
-// parallel, staleness probe included) to the same oracle, and a
+// concurrent, staleness probe included) to the same oracle, and a
 // partition-order phase re-running that matrix over separator-ordered
 // labels served from memory and from a reopened LabelFile.
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialHarness,

@@ -1,11 +1,11 @@
 // Concurrency stress for RknnEngine: many OS threads hammering Run and
-// RunBatch (serial and parallel) on ONE engine over ONE shared
-// disk-backed BufferPool. Results must be stable (every thread sees the
-// serial answer) and no stat is lost (lifetime counters add up exactly).
+// RunBatch on ONE engine over ONE shared disk-backed BufferPool. Results
+// must be stable (every thread sees the serial answer) and no stat is
+// lost (lifetime counters add up exactly).
 //
 // Registered under the `stress` ctest label and exercised by the
 // ThreadSanitizer CI job, which is what actually proves the locking in
-// BufferPool / RknnEngine::State / ThreadPool correct.
+// BufferPool / RknnEngine::State correct.
 
 #include <gtest/gtest.h>
 
@@ -114,7 +114,7 @@ TEST(EngineConcurrencyTest, ManyThreadsRunOnOneEngine) {
             static_cast<size_t>(kThreads));
 }
 
-TEST(EngineConcurrencyTest, ConcurrentSerialAndParallelBatches) {
+TEST(EngineConcurrencyTest, ConcurrentBatchesAndRuns) {
   StressWorld w = MakeStressWorld(/*seed=*/37, /*num_specs=*/40);
   auto engine = bench::MakeRestrictedEngine(w.env, w.points).ValueOrDie();
 
@@ -126,24 +126,12 @@ TEST(EngineConcurrencyTest, ConcurrentSerialAndParallelBatches) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        // Mix the three entry points across threads and rounds:
-        // parallel batches, serial batches and single-query runs.
-        if (t % 3 == 0) {
-          auto batch =
-              engine.RunBatch(w.specs, ParallelOptions{3, 4});
+        // Mix both entry points across threads: batches and
+        // single-query runs.
+        if (t % 2 == 0) {
+          auto batch = engine.RunBatch(w.specs);
           if (!batch.ok() ||
               batch->stats.queries != w.specs.size()) {
-            mismatches[t]++;
-            continue;
-          }
-          for (size_t i = 0; i < w.specs.size(); ++i) {
-            if (batch->results[i].results != w.expected[i]) {
-              mismatches[t]++;
-            }
-          }
-        } else if (t % 3 == 1) {
-          auto batch = engine.RunBatch(w.specs);
-          if (!batch.ok()) {
             mismatches[t]++;
             continue;
           }

@@ -6,7 +6,10 @@
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <tuple>
@@ -321,152 +324,6 @@ TEST(EngineBatchTest, WorkspaceReuseDoesNotLeakStateBetweenQueries) {
           << " diverged from its first occurrence";
     }
   }
-}
-
-// ---------------------------------------------------------------------
-// Parallel batched execution (the full randomized matrix lives in
-// differential_test.cc; these are the fast tier-1 regressions).
-
-TEST(EngineParallelTest, ParallelBatchMatchesSerialBitForBit) {
-  auto w = MakeWorld(5, 3);
-  Rng rng(4242);
-  std::vector<QuerySpec> specs;
-  for (Algorithm algo : kAllAlgorithms) {
-    for (QueryKind kind :
-         {QueryKind::kMonochromatic, QueryKind::kBichromatic,
-          QueryKind::kContinuous}) {
-      auto part = MakeSpecs(*w, kind, algo, /*k=*/2, 8, rng);
-      specs.insert(specs.end(), part.begin(), part.end());
-    }
-  }
-
-  RknnEngine engine = NodeEngine(*w);
-  auto serial = engine.RunBatch(specs).ValueOrDie();
-  auto parallel =
-      engine.RunBatch(specs, ParallelOptions{4, 5}).ValueOrDie();
-  ASSERT_EQ(parallel.results.size(), serial.results.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(parallel.results[i].results, serial.results[i].results)
-        << "query " << i;
-  }
-  // Per-thread SearchStats/IoStats roll up to the same batch totals.
-  EXPECT_EQ(parallel.stats.queries, serial.stats.queries);
-  EXPECT_EQ(parallel.stats.search.nodes_expanded,
-            serial.stats.search.nodes_expanded);
-  EXPECT_EQ(parallel.stats.search.verify_calls,
-            serial.stats.search.verify_calls);
-  EXPECT_EQ(parallel.stats.search.heap_pushes,
-            serial.stats.search.heap_pushes);
-}
-
-TEST(EngineParallelTest, WarmParallelBatchReportsZeroGrowsOnEveryWorker) {
-  auto w = MakeWorld(7, 3);
-  Rng rng(11);
-  std::vector<QuerySpec> specs;
-  for (Algorithm algo : kAllAlgorithms) {
-    auto part =
-        MakeSpecs(*w, QueryKind::kMonochromatic, algo, /*k=*/2, 30, rng);
-    specs.insert(specs.end(), part.begin(), part.end());
-  }
-  ASSERT_GE(specs.size(), 100u);
-
-  const ParallelOptions par{4, 8};
-  RknnEngine engine = NodeEngine(*w);
-  // The first parallel batch creates one workspace per worker...
-  auto warm = engine.RunBatch(specs, par).ValueOrDie();
-  ASSERT_EQ(engine.num_pooled_workspaces(), 4u);
-  // ... and four serial passes rotate the FIFO pool so EVERY pooled
-  // workspace processes the full workload, reaching its high-water mark
-  // (chunk scheduling is dynamic, so one parallel pass alone does not
-  // guarantee that).
-  for (int pass = 0; pass < 4; ++pass) {
-    ASSERT_TRUE(engine.RunBatch(specs).ok());
-  }
-  // A warm parallel batch must now report zero grows — summed over
-  // workers, so zero means zero on EVERY worker.
-  auto second = engine.RunBatch(specs, par).ValueOrDie();
-  EXPECT_EQ(second.stats.workspace_grows, 0u)
-      << "warm parallel batch reallocated workspace buffers (first pass "
-      << "grew " << warm.stats.workspace_grows << " times)";
-  EXPECT_EQ(second.stats.queries, specs.size());
-  // The workspace pool did not balloon: the same leases were reused.
-  EXPECT_EQ(engine.num_pooled_workspaces(), 4u);
-}
-
-TEST(EngineParallelTest, ParallelBatchReportsLowestIndexError) {
-  auto w = MakeWorld(2, 1);
-  RknnEngine engine = NodeEngine(*w);
-  std::vector<QuerySpec> specs;
-  for (int i = 0; i < 40; ++i) {
-    specs.push_back(QuerySpec::Monochromatic(
-        Algorithm::kEager, static_cast<NodeId>(i % 10)));
-  }
-  specs[17].k = 0;  // invalid
-  auto serial = engine.RunBatch(specs);
-  ASSERT_FALSE(serial.ok());
-  auto parallel = engine.RunBatch(specs, ParallelOptions{4, 2});
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().code(), serial.status().code());
-  EXPECT_EQ(parallel.status().message(), serial.status().message());
-}
-
-TEST(EngineParallelTest, SingleThreadAndTinyBatchesFallBackToSerial) {
-  auto w = MakeWorld(3, 2);
-  RknnEngine engine = NodeEngine(*w);
-  std::vector<QuerySpec> specs{
-      QuerySpec::Monochromatic(Algorithm::kEager, 0),
-      QuerySpec::Monochromatic(Algorithm::kLazy, 1)};
-  // num_threads=1 and a batch smaller than one chunk both take the
-  // serial path; results must still be well-formed.
-  auto one = engine.RunBatch(specs, ParallelOptions{1, 16}).ValueOrDie();
-  auto tiny = engine.RunBatch(specs, ParallelOptions{8, 16}).ValueOrDie();
-  ASSERT_EQ(one.results.size(), 2u);
-  ASSERT_EQ(tiny.results.size(), 2u);
-  EXPECT_EQ(one.results[0].results, tiny.results[0].results);
-  EXPECT_EQ(one.results[1].results, tiny.results[1].results);
-
-  // An empty batch is a no-op on every path.
-  auto empty =
-      engine.RunBatch(std::span<const QuerySpec>{}, ParallelOptions{8, 4})
-          .ValueOrDie();
-  EXPECT_TRUE(empty.results.empty());
-  EXPECT_EQ(empty.stats.queries, 0u);
-}
-
-TEST(EngineParallelTest, NegativeThreadCountFallsBackToSerial) {
-  auto w = MakeWorld(4, 2);
-  RknnEngine engine = NodeEngine(*w);
-  Rng rng(8);
-  auto specs =
-      MakeSpecs(*w, QueryKind::kMonochromatic, Algorithm::kEager, 2, 12,
-                rng);
-  // A nonsense negative thread count must behave exactly like serial
-  // (not spawn one worker per chunk via an unsigned wraparound).
-  auto batch = engine.RunBatch(specs, ParallelOptions{-3, 2}).ValueOrDie();
-  EXPECT_EQ(batch.stats.queries, specs.size());
-  // Serial execution leases exactly one workspace.
-  EXPECT_EQ(engine.num_pooled_workspaces(), 1u);
-}
-
-TEST(EngineParallelTest, NarrowBatchAfterWideBatchHonoursItsThreadCount) {
-  auto w = MakeWorld(6, 2);
-  RknnEngine engine = NodeEngine(*w);
-  Rng rng(9);
-  auto specs =
-      MakeSpecs(*w, QueryKind::kMonochromatic, Algorithm::kLazy, 2, 32,
-                rng);
-  // A wide batch grows the persistent worker team (and pool) to 8...
-  auto wide = engine.RunBatch(specs, ParallelOptions{8, 2}).ValueOrDie();
-  ASSERT_EQ(engine.num_pooled_workspaces(), 8u);
-  // ... but a later 2-thread batch must only lease 2 workspaces (the
-  // extra team members sit the job out), and still match serially.
-  auto narrow = engine.RunBatch(specs, ParallelOptions{2, 2}).ValueOrDie();
-  EXPECT_EQ(engine.num_pooled_workspaces(), 8u);
-  ASSERT_EQ(narrow.results.size(), wide.results.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(narrow.results[i].results, wide.results[i].results);
-  }
-  EXPECT_EQ(narrow.stats.queries, specs.size());
 }
 
 // ---------------------------------------------------------------------
@@ -927,6 +784,83 @@ TEST(EngineHubTest, ParseAndNamesIncludeHub) {
             Algorithm::kHubLabel);
   EXPECT_STREQ(AlgorithmName(Algorithm::kHubLabel), "hub");
   EXPECT_STREQ(AlgorithmShortName(Algorithm::kHubLabel), "H");
+}
+
+// ---------------------------------------------------------------------
+// Huge k. k >= |P| is a valid query (every reachable point answers), so
+// k = INT_MAX must match brute force without sizing any allocation by k.
+
+// Runs every kind x algorithm at k = INT_MAX and counts the queries that
+// failed or disagreed with brute force. Eager-M must reject the query:
+// k exceeds its materialized K, as any k > K does.
+int IntMaxKMismatches(EngineWorld& w, const index::LabelStore& labels) {
+  RknnEngine node_engine = HubNodeEngine(w, labels);
+  RknnEngine edge_engine = HubEdgeEngine(w, labels);
+  Rng rng(61);
+  int mismatches = 0;
+  for (QueryKind kind : kAllQueryKinds) {
+    RknnEngine& engine =
+        kind == QueryKind::kUnrestricted ? edge_engine : node_engine;
+    for (Algorithm algo :
+         {Algorithm::kEager, Algorithm::kEagerM, Algorithm::kLazy,
+          Algorithm::kLazyEp, Algorithm::kHubLabel}) {
+      for (QuerySpec spec :
+           MakeSpecs(w, kind, algo, std::numeric_limits<int>::max(),
+                     /*count=*/4, rng)) {
+        auto got = engine.Run(spec);
+        if (algo == Algorithm::kEagerM) {
+          mismatches +=
+              got.status().code() != StatusCode::kInvalidArgument;
+          continue;
+        }
+        spec.algorithm = Algorithm::kBruteForce;
+        auto want = engine.Run(spec);
+        mismatches += !got.ok() || !want.ok() || Ids(*got) != Ids(*want);
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(EngineTest, IntMaxKMatchesBruteForce) {
+  auto w = MakeWorld(31, 3);
+  auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
+  EXPECT_EQ(IntMaxKMismatches(*w, labels), 0);
+}
+
+// ASan and TSan reserve terabytes of shadow address space, which the
+// address-space limit below would refuse.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define GRNN_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define GRNN_TEST_SANITIZED 1
+#endif
+#endif
+
+// The same queries in a child capped at 4 GiB of address space: a
+// k-sized reservation (16 GiB of distances at INT_MAX) throws
+// std::bad_alloc there and kills the child.
+TEST(EngineTest, IntMaxKFitsInFourGiBOfAddressSpace) {
+#ifdef GRNN_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer shadow memory exceeds the address-space cap";
+#else
+  auto w = MakeWorld(31, 3);
+  auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
+  EXPECT_EXIT(
+      {
+        rlimit limit{};
+        if (getrlimit(RLIMIT_AS, &limit) != 0) {
+          std::_Exit(2);
+        }
+        limit.rlim_cur = std::min<rlim_t>(limit.rlim_max, rlim_t{4} << 30);
+        if (setrlimit(RLIMIT_AS, &limit) != 0) {
+          std::_Exit(2);
+        }
+        std::_Exit(IntMaxKMismatches(*w, labels) == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace

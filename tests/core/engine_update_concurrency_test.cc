@@ -15,6 +15,12 @@
 // WorldVersion", and the suite additionally checks the version/retire
 // accounting and that limbo drains once the readers are gone.
 //
+// Both engines serve one hub-label index, and the histories include
+// Algorithm::kHubLabel queries: every update must splice the hub point
+// index in place (lock mode) or onto its successor version (snapshot
+// mode), so the label path never goes stale and never falls back to
+// expansion while writers run.
+//
 // Registered under the `stress`, `update` and `serve` ctest labels; the
 // ThreadSanitizer CI job is what actually proves the domain
 // shared_mutexes, the epoch pin/retire protocol, the sharded pin table
@@ -31,6 +37,7 @@
 #include "core/engine.h"
 #include "gen/grid.h"
 #include "gen/points.h"
+#include "index/hub_label.h"
 
 namespace grnn::core {
 namespace {
@@ -53,6 +60,8 @@ struct UpdateStressWorld {
   graph::Graph g;
   NodePointSet points{0};
   bench::StoredRestricted env;
+  // Hub labels over the grid, served by the engines of both modes.
+  index::HubLabelIndex labels;
   NodeId toggles[2] = {kInvalidNode, kInvalidNode};
   std::vector<QuerySpec> specs;
   // expected[world][spec] = brute-force node set; world bit i = toggle i
@@ -75,6 +84,8 @@ UpdateStressWorld MakeUpdateStressWorld(uint64_t seed) {
                                        /*pool_pages=*/8,
                                        storage::kDefaultConcurrentShards)
               .ValueOrDie();
+  graph::GraphView grid_view(&w.g);
+  w.labels = index::HubLabelBuilder::Build(grid_view).ValueOrDie();
 
   // Two dedicated toggle nodes, initially free.
   int found = 0;
@@ -86,7 +97,9 @@ UpdateStressWorld MakeUpdateStressWorld(uint64_t seed) {
   }
 
   auto live = w.points.LivePoints();
-  for (Algorithm algo : kAllAlgorithms) {
+  for (Algorithm algo :
+       {Algorithm::kEager, Algorithm::kEagerM, Algorithm::kLazy,
+        Algorithm::kLazyEp, Algorithm::kHubLabel}) {
     for (int k = 1; k <= 3; ++k) {
       PointId qp = live[rng.UniformInt(live.size())];
       w.specs.push_back(
@@ -134,7 +147,7 @@ void RunUpdateStress(RknnEngine& engine, const UpdateStressWorld& w) {
   std::atomic<uint64_t> toggle_cycles[2] = {{0}, {0}};
   std::atomic<int> query_mismatches{0};
   std::atomic<int> update_failures{0};
-  std::atomic<int> mixed_mismatches{0};
+  std::atomic<int> probe_mismatches{0};
 
   auto matches_some_world = [&](size_t spec_idx,
                                 const RknnResult& result,
@@ -169,30 +182,24 @@ void RunUpdateStress(RknnEngine& engine, const UpdateStressWorld& w) {
       toggle_cycles[0].fetch_add(1);
     }
   });
-  // Updater 1: the mixed path — insert, query (which must observe the
-  // just-committed insert), delete, as ONE deterministic op stream.
+  // Updater 1: insert, query (which must observe the just-committed
+  // insert: read-your-writes on one thread), delete.
   threads.emplace_back([&] {
     const size_t probe = 1 % w.specs.size();
     while (readers_running.load() > 0 &&
            toggle_cycles[1].load() < kMaxToggleCycles) {
-      std::vector<RknnEngine::MixedOp> ops;
-      ops.push_back(
-          RknnEngine::MixedOp::Update(UpdateSpec::InsertPoint(w.toggles[1])));
-      ops.push_back(RknnEngine::MixedOp::Query(w.specs[probe]));
-      auto batch = engine.RunMixedBatch(ops);
-      if (!batch.ok() || !batch->results[0].update.has_value() ||
-          !batch->results[1].query.has_value()) {
+      auto ins = engine.ApplyUpdate(UpdateSpec::InsertPoint(w.toggles[1]));
+      if (!ins.ok()) {
         update_failures.fetch_add(1);
         break;
       }
       // The probe ran after our insert committed: only worlds with
       // toggle 1 present are admissible.
-      if (!matches_some_world(probe, *batch->results[1].query,
-                              /*required_bit=*/1)) {
-        mixed_mismatches.fetch_add(1);
+      auto r = engine.Run(w.specs[probe]);
+      if (!r.ok() || !matches_some_world(probe, *r, /*required_bit=*/1)) {
+        probe_mismatches.fetch_add(1);
       }
-      auto del = engine.ApplyUpdate(
-          UpdateSpec::DeletePoint(batch->results[0].update->point));
+      auto del = engine.ApplyUpdate(UpdateSpec::DeletePoint(ins->point));
       if (!del.ok()) {
         update_failures.fetch_add(1);
         break;
@@ -226,7 +233,7 @@ void RunUpdateStress(RknnEngine& engine, const UpdateStressWorld& w) {
   }
 
   EXPECT_EQ(query_mismatches.load(), 0);
-  EXPECT_EQ(mixed_mismatches.load(), 0);
+  EXPECT_EQ(probe_mismatches.load(), 0);
   EXPECT_EQ(update_failures.load(), 0);
   // The window was real: both updaters got toggles through while the
   // readers were running.
@@ -234,15 +241,20 @@ void RunUpdateStress(RknnEngine& engine, const UpdateStressWorld& w) {
   EXPECT_GE(toggle_cycles[1].load(), 1u);
 
   // Zero stat loss: every query and every update is counted exactly
-  // once, across Run, ApplyUpdate and RunMixedBatch alike.
+  // once, across Run and ApplyUpdate alike.
   const EngineStats stats = engine.lifetime_stats();
   const uint64_t cycles =
       toggle_cycles[0].load() + toggle_cycles[1].load();
-  const uint64_t mixed_queries = toggle_cycles[1].load();  // one probe per cycle
-  EXPECT_EQ(stats.queries, queries_issued.load() + mixed_queries);
+  const uint64_t probe_queries = toggle_cycles[1].load();  // one per cycle
+  EXPECT_EQ(stats.queries, queries_issued.load() + probe_queries);
   EXPECT_EQ(stats.updates, 2u * cycles);
   // Every insert rewrites at least the toggle node's own list.
   EXPECT_GE(stats.update.lists_written, cycles);
+  // Every update patched the hub point index incrementally: no hub-label
+  // query fell back to expansion, and the index never went stale.
+  EXPECT_GT(stats.search.label_entries, 0u);
+  EXPECT_EQ(stats.search.hub_fallbacks, 0u);
+  EXPECT_FALSE(engine.hub_index_stale());
 
   // The world round-tripped: both toggles are deleted again, so a final
   // serial check must reproduce the base world exactly.
@@ -257,8 +269,15 @@ void RunUpdateStress(RknnEngine& engine, const UpdateStressWorld& w) {
 TEST(EngineUpdateConcurrencyTest, QueriesSeePreOrPostUpdateWorlds) {
   UpdateStressWorld w = MakeUpdateStressWorld(/*seed=*/11);
   NodePointSet points = w.points;
-  auto engine =
-      bench::MakeRestrictedUpdatableEngine(w.env, points).ValueOrDie();
+  EngineSources sources;
+  sources.graph = w.env.view.get();
+  sources.points = &points;
+  sources.knn = w.env.knn_store.get();
+  sources.hub_labels = &w.labels;
+  sources.pool = w.env.pool.get();
+  sources.updates.points = &points;
+  sources.updates.knn = w.env.knn_store.get();
+  auto engine = RknnEngine::Create(sources).ValueOrDie();
   RunUpdateStress(engine, w);
   // Lock mode has no serving layer: epoch counters stay at zero.
   EXPECT_EQ(engine.epoch_stats().pins, 0u);
@@ -279,6 +298,7 @@ TEST(EngineUpdateConcurrencyTest, EpochSnapshotQueriesSeePublishedWorlds) {
   sources.graph = &view;
   sources.points = &points;
   sources.knn = &store;
+  sources.hub_labels = &w.labels;
   sources.updates.points = &points;
   sources.updates.knn = &store;
   sources.snapshot_reads = true;
@@ -298,36 +318,6 @@ TEST(EngineUpdateConcurrencyTest, EpochSnapshotQueriesSeePublishedWorlds) {
   es = engine.epoch_stats();
   EXPECT_EQ(es.limbo, 0u);
   EXPECT_EQ(es.reclaimed, es.retired);
-}
-
-// A mixed batch aborted by a failing op must still count the ops that
-// committed before it — they mutated the world, so dropping their
-// counters would be stat loss.
-TEST(EngineUpdateConcurrencyTest, AbortedMixedBatchCountsCommittedOps) {
-  UpdateStressWorld w = MakeUpdateStressWorld(/*seed=*/13);
-  NodePointSet points = w.points;
-  auto engine =
-      bench::MakeRestrictedUpdatableEngine(w.env, points).ValueOrDie();
-
-  std::vector<RknnEngine::MixedOp> ops;
-  ops.push_back(
-      RknnEngine::MixedOp::Update(UpdateSpec::InsertPoint(w.toggles[0])));
-  QuerySpec bad = w.specs[0];
-  bad.k = 0;  // fails validation after the insert committed
-  ops.push_back(RknnEngine::MixedOp::Query(bad));
-  auto batch = engine.RunMixedBatch(ops);
-  ASSERT_FALSE(batch.ok());
-
-  const EngineStats stats = engine.lifetime_stats();
-  EXPECT_EQ(stats.updates, 1u);
-  EXPECT_GE(stats.update.lists_written, 1u);
-  EXPECT_EQ(stats.queries, 0u);
-  // And the insert really persisted: the toggle world answers now.
-  QuerySpec probe = w.specs[0];
-  probe.algorithm = Algorithm::kBruteForce;
-  auto r = engine.Run(probe);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(Nodes(*r), w.expected[1][0]);
 }
 
 }  // namespace
