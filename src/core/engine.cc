@@ -3,7 +3,6 @@
 #include <atomic>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <utility>
 
@@ -32,6 +31,57 @@ enum Domain {
   kNumDomains = 3,
 };
 
+/// Derives the hub point index of `set` (null without labels or set),
+/// for lock mode's slots and snapshot version 0 alike.
+template <typename Set>
+Result<std::shared_ptr<const index::HubPointIndex>> BuildHubIndex(
+    const index::LabelStore* labels, const Set* set) {
+  if (labels == nullptr || set == nullptr) {
+    return std::shared_ptr<const index::HubPointIndex>();
+  }
+  GRNN_ASSIGN_OR_RETURN(index::HubPointIndex idx,
+                        index::HubPointIndex::Build(*labels, *set));
+  return std::make_shared<const index::HubPointIndex>(std::move(idx));
+}
+
+/// Clones `hub` and splices one point into or out of the clone with
+/// `patch`. The per-hub runs are shared copy-on-write, so the clone
+/// copies only the runs the patch touches. No index, nothing to patch.
+template <typename PatchFn>
+Result<std::shared_ptr<const index::HubPointIndex>> PatchedClone(
+    const std::shared_ptr<const index::HubPointIndex>& hub,
+    PatchFn&& patch) {
+  if (hub == nullptr) {
+    return hub;
+  }
+  auto next = std::make_shared<index::HubPointIndex>(*hub);
+  GRNN_RETURN_NOT_OK(patch(*next));
+  return std::shared_ptr<const index::HubPointIndex>(std::move(next));
+}
+
+/// Runs `body` inside `store`'s journal bracket: a durable store
+/// buffers the list writes `body` makes, makes record + images durable
+/// in CommitUpdate (the acknowledgement gate) and only then touches the
+/// file; AbortUpdate drops the buffered writes whole when `body` or the
+/// commit fails. Plain stores treat the bracket as no-ops. Without a
+/// store `body` runs alone.
+template <typename Body>
+Status Journaled(KnnStore* store, const UpdateDescriptor& desc,
+                 UpdateStats* stats, Body&& body) {
+  if (store == nullptr) {
+    return body();
+  }
+  GRNN_RETURN_NOT_OK(store->BeginUpdate(desc));
+  Status done = body();
+  if (done.ok()) {
+    done = store->CommitUpdate(stats);
+  }
+  if (!done.ok()) {
+    store->AbortUpdate();
+  }
+  return done;
+}
+
 }  // namespace
 
 /// Mutable serving state shared by every thread using the engine.
@@ -40,20 +90,14 @@ struct RknnEngine::State {
   /// first: conceptually they guard the *sources*, everything below
   /// guards engine-internal bookkeeping.
   std::shared_mutex domain_mu[kNumDomains];
-  /// Derived hub-label point indices (Algorithm::kHubLabel), one per
-  /// point population. Patched INCREMENTALLY by every update inside its
-  /// exclusive domain section, rebuilt wholesale only by RebuildIndex
-  /// (under exclusive locks of every indexed domain); read under the
-  /// query's shared domain locks, so a patch or rebuild never races a
-  /// reader of its index.
-  std::unique_ptr<index::HubPointIndex> hub_points;
-  std::unique_ptr<index::HubPointIndex> hub_sites;
-  std::unique_ptr<index::HubPointIndex> hub_edge;
-  /// Set only when an update could not patch its domain's index
-  /// incrementally (structural failure, e.g. label-universe mismatch);
-  /// while true, hub-label queries fall back to the eager expansion
-  /// until RebuildIndex() re-derives the indices.
-  std::atomic<bool> hub_stale{false};
+  /// Lock mode's derived hub-label point indices (Algorithm::kHubLabel),
+  /// one per point population (snapshot mode versions them in
+  /// serve::WorldVersion instead). Every update replaces its domain's
+  /// slot with a patched clone inside its exclusive section; queries
+  /// read them under their shared domain locks.
+  HubIndexPtr hub_points;
+  HubIndexPtr hub_sites;
+  HubIndexPtr hub_edge;
   /// Guards the idle-workspace pool. The pool is FIFO: successive
   /// acquisitions rotate through every pooled workspace, so repeated
   /// batches warm all of them toward the workload's high-water mark
@@ -75,9 +119,6 @@ struct RknnEngine::State {
   std::shared_ptr<const serve::WorldVersion> current_holder;
   /// The published pointer the read path loads after pinning an epoch.
   std::atomic<const serve::WorldVersion*> current{nullptr};
-  /// Node-domain update generation. Lock-mode RebuildIndex uses it to
-  /// detect updates racing its off-to-the-side index derivation.
-  std::atomic<uint64_t> node_gen{0};
 
   // --- Telemetry (src/obs/, EngineSources::metrics / ::trace) ---
   /// Dispatch sequence for the 1-in-N trace sampling policy.
@@ -86,8 +127,6 @@ struct RknnEngine::State {
   std::atomic<uint64_t> traces_sampled{0};
   /// Traced queries that crossed the slow-query threshold.
   std::atomic<uint64_t> slow_queries{0};
-  /// Completed RebuildIndex() calls.
-  std::atomic<uint64_t> hub_rebuilds{0};
   /// Bounded ring behind RknnEngine::DrainSlowQueries.
   obs::SlowQueryLog slow_log;
   /// Unowned registry + the collector registered on it at Create; the
@@ -114,7 +153,6 @@ struct RknnEngine::QueryWorld {
   const index::HubPointIndex* hub_points = nullptr;
   const index::HubPointIndex* hub_sites = nullptr;
   const index::HubPointIndex* hub_edge = nullptr;
-  bool hub_stale = false;
 };
 
 const char* QueryKindName(QueryKind kind) {
@@ -379,14 +417,19 @@ Result<RknnEngine> RknnEngine::Create(const EngineSources& sources) {
     }
   }
   RknnEngine engine(sources);
+  // The hub point indices (version 0's in snapshot mode) are derived
+  // while the engine is still single-owner, so no domain locks are
+  // needed.
   if (sources.snapshot_reads) {
-    // Version 0 (including the hub point indices) is built while the
-    // engine is still single-owner.
     GRNN_RETURN_NOT_OK(engine.InitSnapshotWorld());
-  } else if (sources.hub_labels != nullptr) {
-    // Initial derivation of the inverted point indices; the engine is
-    // still single-owner here, so no domain locks are needed.
-    GRNN_RETURN_NOT_OK(engine.RebuildHubIndexesLocked());
+  } else {
+    State& st = *engine.state_;
+    GRNN_ASSIGN_OR_RETURN(st.hub_points,
+                          BuildHubIndex(sources.hub_labels, sources.points));
+    GRNN_ASSIGN_OR_RETURN(st.hub_sites,
+                          BuildHubIndex(sources.hub_labels, sources.sites));
+    GRNN_ASSIGN_OR_RETURN(
+        st.hub_edge, BuildHubIndex(sources.hub_labels, sources.edge_points));
   }
   if (sources.metrics != nullptr) {
     // Bridge every engine-side stat struct into the registry via one
@@ -418,7 +461,6 @@ Result<RknnEngine> RknnEngine::Create(const EngineSources& sources) {
           snap.SetCounter("engine.search.shortcut_accepts",
                           s.shortcut_accepts);
           snap.SetCounter("engine.search.label_entries", s.label_entries);
-          snap.SetCounter("engine.search.hub_fallbacks", s.hub_fallbacks);
           snap.SetCounter("engine.io.logical_reads", life.io.logical_reads);
           snap.SetCounter("engine.io.physical_reads",
                           life.io.physical_reads);
@@ -433,14 +475,6 @@ Result<RknnEngine> RknnEngine::Create(const EngineSources& sources) {
           snap.SetCounter("engine.update.log_records", u.log_records);
           snap.SetCounter("engine.update.log_flushes", u.log_flushes);
           snap.SetCounter("engine.update.log_bytes", u.log_bytes);
-          snap.SetCounter("engine.hub.rebuilds",
-                          st->hub_rebuilds.load(std::memory_order_relaxed));
-          bool stale = st->hub_stale.load(std::memory_order_acquire);
-          if (src.snapshot_reads) {
-            std::lock_guard<std::mutex> lock(st->publish_mu);
-            stale = st->current_holder->hub_stale;
-          }
-          snap.SetGauge("engine.hub.stale", stale ? 1 : 0);
           const serve::EpochStats es = st->epochs.stats();
           snap.SetCounter("engine.epoch.pins", es.pins);
           snap.SetCounter("engine.epoch.pin_retries", es.pin_retries);
@@ -537,29 +571,13 @@ Status RknnEngine::InitSnapshotWorld() {
       v->edge_reader = serve::UnownedShared(edge_reader());
     }
   }
-  if (src_.hub_labels != nullptr) {
-    if (v->points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->points));
-      v->hub_points =
-          std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (v->sites != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->sites));
-      v->hub_sites =
-          std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (v->edge_points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *v->edge_points));
-      v->hub_edge_points =
-          std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-  }
+  GRNN_ASSIGN_OR_RETURN(v->hub_points,
+                        BuildHubIndex(src_.hub_labels, v->points.get()));
+  GRNN_ASSIGN_OR_RETURN(v->hub_sites,
+                        BuildHubIndex(src_.hub_labels, v->sites.get()));
+  GRNN_ASSIGN_OR_RETURN(
+      v->hub_edge_points,
+      BuildHubIndex(src_.hub_labels, v->edge_points.get()));
   std::lock_guard<std::mutex> lock(state_->publish_mu);
   state_->current_holder = v;
   state_->current.store(v.get(), std::memory_order_seq_cst);
@@ -619,170 +637,6 @@ std::vector<obs::SlowQuery> RknnEngine::DrainSlowQueries() {
   return state_->slow_log.Drain();
 }
 
-Status RknnEngine::RebuildHubIndexesLocked() {
-  if (src_.points != nullptr) {
-    GRNN_ASSIGN_OR_RETURN(
-        index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.points));
-    state_->hub_points =
-        std::make_unique<index::HubPointIndex>(std::move(idx));
-  }
-  if (src_.sites != nullptr) {
-    GRNN_ASSIGN_OR_RETURN(
-        index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.sites));
-    state_->hub_sites =
-        std::make_unique<index::HubPointIndex>(std::move(idx));
-  }
-  if (src_.edge_points != nullptr) {
-    GRNN_ASSIGN_OR_RETURN(
-        index::HubPointIndex idx,
-        index::HubPointIndex::Build(*src_.hub_labels, *src_.edge_points));
-    state_->hub_edge =
-        std::make_unique<index::HubPointIndex>(std::move(idx));
-  }
-  state_->hub_stale.store(false, std::memory_order_release);
-  return Status::OK();
-}
-
-Status RknnEngine::RebuildIndex() {
-  if (src_.hub_labels == nullptr) {
-    return Status::FailedPrecondition(
-        "engine has no hub-label index (EngineSources::hub_labels)");
-  }
-  if (src_.snapshot_reads) {
-    // Exclusive on every indexed domain (domain index order) blocks
-    // only WRITERS of those domains while the indices derive; readers
-    // keep serving the current version lock-free and flip to the fresh
-    // indices at the publish instant.
-    std::unique_lock<std::shared_mutex> points_lock(
-        state_->domain_mu[kDomainPoints]);
-    std::unique_lock<std::shared_mutex> sites_lock(
-        state_->domain_mu[kDomainSites]);
-    std::unique_lock<std::shared_mutex> edge_lock(
-        state_->domain_mu[kDomainEdge]);
-    std::shared_ptr<const serve::WorldVersion> base = CurrentVersion();
-    std::shared_ptr<const index::HubPointIndex> hub_points;
-    std::shared_ptr<const index::HubPointIndex> hub_sites;
-    std::shared_ptr<const index::HubPointIndex> hub_edge;
-    if (base->points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->points));
-      hub_points = std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (base->sites != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->sites));
-      hub_sites = std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    if (base->edge_points != nullptr) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *base->edge_points));
-      hub_edge = std::make_shared<index::HubPointIndex>(std::move(idx));
-    }
-    PublishVersion([&](serve::WorldVersion& v) {
-      v.hub_points = std::move(hub_points);
-      v.hub_sites = std::move(hub_sites);
-      v.hub_edge_points = std::move(hub_edge);
-      v.hub_stale = false;
-    });
-    state_->hub_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  // Lock mode: derive the new indices OFF TO THE SIDE from set copies
-  // taken under shared locks, then install under brief exclusive locks
-  // — queries keep serving for the whole derivation. An update racing
-  // the build invalidates the attempt (detected via the update
-  // generation counter); after a few optimistic rounds fall back to
-  // building under the exclusive locks so the call always finishes.
-  constexpr int kOptimisticAttempts = 3;
-  for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
-    uint64_t gen = 0;
-    std::optional<NodePointSet> points_copy;
-    std::optional<NodePointSet> sites_copy;
-    std::optional<EdgePointSet> edge_copy;
-    {
-      std::shared_lock<std::shared_mutex> points_lock(
-          state_->domain_mu[kDomainPoints]);
-      std::shared_lock<std::shared_mutex> sites_lock(
-          state_->domain_mu[kDomainSites]);
-      std::shared_lock<std::shared_mutex> edge_lock(
-          state_->domain_mu[kDomainEdge]);
-      gen = state_->node_gen.load(std::memory_order_seq_cst);
-      if (src_.points != nullptr) {
-        points_copy = *src_.points;
-      }
-      if (src_.sites != nullptr) {
-        sites_copy = *src_.sites;
-      }
-      if (src_.edge_points != nullptr) {
-        edge_copy = *src_.edge_points;
-      }
-    }
-    std::unique_ptr<index::HubPointIndex> new_points;
-    std::unique_ptr<index::HubPointIndex> new_sites;
-    std::unique_ptr<index::HubPointIndex> new_edge;
-    if (points_copy.has_value()) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *points_copy));
-      new_points = std::make_unique<index::HubPointIndex>(std::move(idx));
-    }
-    if (sites_copy.has_value()) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *sites_copy));
-      new_sites = std::make_unique<index::HubPointIndex>(std::move(idx));
-    }
-    if (edge_copy.has_value()) {
-      GRNN_ASSIGN_OR_RETURN(
-          index::HubPointIndex idx,
-          index::HubPointIndex::Build(*src_.hub_labels, *edge_copy));
-      new_edge = std::make_unique<index::HubPointIndex>(std::move(idx));
-    }
-    std::unique_lock<std::shared_mutex> points_lock(
-        state_->domain_mu[kDomainPoints]);
-    std::unique_lock<std::shared_mutex> sites_lock(
-        state_->domain_mu[kDomainSites]);
-    std::unique_lock<std::shared_mutex> edge_lock(
-        state_->domain_mu[kDomainEdge]);
-    if (state_->node_gen.load(std::memory_order_seq_cst) != gen) {
-      continue;  // an update landed mid-derivation; copies are stale
-    }
-    state_->hub_points = std::move(new_points);
-    state_->hub_sites = std::move(new_sites);
-    state_->hub_edge = std::move(new_edge);
-    state_->hub_stale.store(false, std::memory_order_release);
-    state_->hub_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  std::unique_lock<std::shared_mutex> points_lock(
-      state_->domain_mu[kDomainPoints]);
-  std::unique_lock<std::shared_mutex> sites_lock(
-      state_->domain_mu[kDomainSites]);
-  std::unique_lock<std::shared_mutex> edge_lock(
-      state_->domain_mu[kDomainEdge]);
-  Status rebuilt = RebuildHubIndexesLocked();
-  if (rebuilt.ok()) {
-    state_->hub_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  }
-  return rebuilt;
-}
-
-bool RknnEngine::hub_index_stale() const {
-  if (src_.hub_labels == nullptr) {
-    return false;
-  }
-  if (src_.snapshot_reads) {
-    serve::EpochManager::Guard guard = state_->epochs.Pin();
-    return state_->current.load(std::memory_order_seq_cst)->hub_stale;
-  }
-  return state_->hub_stale.load(std::memory_order_acquire);
-}
-
 Result<RknnResult> RknnEngine::RunMonochromatic(const QuerySpec& spec,
                                                 const QueryWorld& world,
                                                 SearchWorkspace& ws) {
@@ -822,17 +676,6 @@ Result<RknnResult> RknnEngine::RunMonochromatic(const QuerySpec& spec,
       if (src_.hub_labels == nullptr) {
         return Status::FailedPrecondition(
             "hub-label queries need EngineSources::hub_labels");
-      }
-      if (world.hub_stale || world.hub_points == nullptr) {
-        // Staleness fallback (rare): an update could not patch the
-        // derived point index incrementally; answer exactly via eager
-        // expansion until RebuildIndex() runs (contract in engine.h).
-        Result<RknnResult> fallback =
-            EagerRknn(*src_.graph, *world.points, nodes, options, ws);
-        if (fallback.ok()) {
-          fallback->stats.hub_fallbacks += 1;
-        }
-        return fallback;
       }
       return index::RknnViaLabels(*src_.hub_labels, *world.hub_points,
                                   *world.hub_points, nodes, options,
@@ -878,16 +721,6 @@ Result<RknnResult> RknnEngine::RunBichromatic(const QuerySpec& spec,
       if (src_.hub_labels == nullptr) {
         return Status::FailedPrecondition(
             "hub-label queries need EngineSources::hub_labels");
-      }
-      if (world.hub_stale || world.hub_points == nullptr ||
-          world.hub_sites == nullptr) {
-        Result<RknnResult> fallback =
-            BichromaticRknn(*src_.graph, *world.points, *world.sites,
-                            nodes, options, ws);
-        if (fallback.ok()) {
-          fallback->stats.hub_fallbacks += 1;
-        }
-        return fallback;
       }
       return index::RknnViaLabels(*src_.hub_labels, *world.hub_points,
                                   *world.hub_sites, nodes, options,
@@ -948,14 +781,6 @@ Result<RknnResult> RknnEngine::RunUnrestricted(
       if (src_.hub_labels == nullptr) {
         return Status::FailedPrecondition(
             "hub-label queries need EngineSources::hub_labels");
-      }
-      if (world.hub_stale || world.hub_edge == nullptr) {
-        Result<RknnResult> fallback = UnrestrictedEagerRknn(
-            *src_.graph, *world.edge_points, reader, query, options, ws);
-        if (fallback.ok()) {
-          fallback->stats.hub_fallbacks += 1;
-        }
-        return fallback;
       }
       return index::UnrestrictedRknnViaLabels(
           *src_.hub_labels, *src_.graph, *world.edge_points,
@@ -1022,7 +847,6 @@ Result<RknnResult> RknnEngine::Dispatch(const QuerySpec& spec,
       root.Note("nodes_expanded", result->stats.nodes_expanded);
       root.Note("label_entries", result->stats.label_entries);
       root.Note("verify_calls", result->stats.verify_calls);
-      root.Note("hub_fallbacks", result->stats.hub_fallbacks);
     }
   }
   const uint64_t total_micros = trace->ElapsedNanos() / 1000;
@@ -1070,7 +894,6 @@ Result<RknnResult> RknnEngine::DispatchBody(const QuerySpec& spec,
     world.hub_points = v->hub_points.get();
     world.hub_sites = v->hub_sites.get();
     world.hub_edge = v->hub_edge_points.get();
-    world.hub_stale = v->hub_stale;
     return RunSpec(spec, world, ws);
   }
   // Lock-mode read path: shared access on every domain this kind reads,
@@ -1111,10 +934,10 @@ Result<RknnResult> RknnEngine::DispatchBody(const QuerySpec& spec,
   world.site_knn = src_.site_knn;
   world.edge_points = src_.edge_points;
   world.edge_reader = edge_reader();
-  // The hub indexes are patched IN PLACE by updates under their
-  // domain's exclusive lock, so a query may only read the index of a
-  // domain whose shared lock it holds (the unheld ones stay null —
-  // no Run* body reads an index outside its kind's domains anyway).
+  // Updates replace a domain's hub index slot under its exclusive
+  // lock, so a query may only read the index of a domain whose shared
+  // lock it holds (the unheld ones stay null — no Run* body reads an
+  // index outside its kind's domains anyway).
   if (points_lock.owns_lock()) {
     world.hub_points = state_->hub_points.get();
   }
@@ -1124,7 +947,6 @@ Result<RknnResult> RknnEngine::DispatchBody(const QuerySpec& spec,
   if (edge_lock.owns_lock()) {
     world.hub_edge = state_->hub_edge.get();
   }
-  world.hub_stale = state_->hub_stale.load(std::memory_order_acquire);
   return RunSpec(spec, world, ws);
 }
 
@@ -1152,201 +974,149 @@ Result<RknnResult> RknnEngine::Run(const QuerySpec& spec) {
 }
 
 Result<RknnEngine::UpdateResult> RknnEngine::ApplyNodeUpdate(
-    const UpdateSpec& spec, NodePointSet& set, KnnStore* store) {
+    const UpdateSpec& spec, NodePointSet& set, KnnStore* store,
+    HubIndexPtr& hub) {
   UpdateResult out;
+  UpdateDescriptor desc;
+  desc.domain = static_cast<uint32_t>(spec.set);
   if (spec.op == UpdateSpec::Op::kInsert) {
     GRNN_ASSIGN_OR_RETURN(out.point, set.AddPoint(spec.node));
-    if (store != nullptr) {
-      // Journal bracket (PR 7): a durable store buffers the list writes
-      // below, makes record + images durable in CommitUpdate (the
-      // acknowledgement gate), and only then touches the file. Plain
-      // stores treat the bracket as no-ops.
-      UpdateDescriptor desc;
-      desc.op = UpdateDescriptor::Op::kInsertPoint;
-      desc.domain = static_cast<uint32_t>(spec.set);
-      desc.node = spec.node;
-      desc.point = out.point;
-      Status maintained = store->BeginUpdate(desc);
-      if (maintained.ok()) {
-        maintained = MaterializedInsert(*src_.graph, set, spec.node,
-                                        store, &out.stats);
-      }
-      if (maintained.ok()) {
-        maintained = store->CommitUpdate(&out.stats);
-      }
-      if (!maintained.ok()) {
-        // Pre-write failures (validation) are fully undone here; a
-        // mid-maintenance I/O failure leaves a plain store partially
-        // written (see the ApplyUpdate failure-atomicity contract),
-        // while a journaled store drops its buffered writes whole.
-        store->AbortUpdate();
-        (void)set.RemovePoint(out.point);
-        return maintained;
-      }
+    desc.op = UpdateDescriptor::Op::kInsertPoint;
+    desc.node = spec.node;
+    desc.point = out.point;
+    // The patch runs inside the journal bracket: the rollback below
+    // burns the point id, so a failed patch must abort the store's
+    // update like failed maintenance does.
+    HubIndexPtr patched;
+    Status done = Journaled(store, desc, &out.stats, [&]() -> Status {
+      GRNN_ASSIGN_OR_RETURN(
+          patched, PatchedClone(hub, [&](index::HubPointIndex& idx) {
+            return idx.InsertPoint(*src_.hub_labels, out.point, spec.node);
+          }));
+      return store == nullptr ? Status::OK()
+                              : MaterializedInsert(*src_.graph, set,
+                                                   spec.node, store,
+                                                   &out.stats);
+    });
+    if (!done.ok()) {
+      // The point leaves the set again and the patched clone is
+      // dropped; a plain store may keep a partial write (see the
+      // ApplyUpdate failure-atomicity contract).
+      (void)set.RemovePoint(out.point);
+      return done;
     }
+    hub = std::move(patched);
     return out;
   }
+  // A delete tombstones the point, which forgets its host node: capture
+  // it for the patch and the journal first.
   const NodeId host = set.NodeOf(spec.point);
   if (host == kInvalidNode) {
     return Status::NotFound(StrPrintf(
         "point %u is not live in the %s set", spec.point,
         UpdateSetName(spec.set)));
   }
-  if (store != nullptr) {
-    UpdateDescriptor desc;
-    desc.op = UpdateDescriptor::Op::kDeletePoint;
-    desc.domain = static_cast<uint32_t>(spec.set);
-    desc.node = host;
-    desc.point = spec.point;
-    GRNN_RETURN_NOT_OK(store->BeginUpdate(desc));
-  }
-  Status removed = set.RemovePoint(spec.point);
-  if (!removed.ok()) {
-    if (store != nullptr) {
-      store->AbortUpdate();
-    }
-    return removed;
-  }
-  if (store != nullptr) {
-    Status maintained = MaterializedDelete(*src_.graph, set, spec.point,
-                                           host, store, &out.stats);
-    if (maintained.ok()) {
-      maintained = store->CommitUpdate(&out.stats);
-    }
-    if (!maintained.ok()) {
-      store->AbortUpdate();
-      return maintained;
-    }
-  }
+  GRNN_ASSIGN_OR_RETURN(HubIndexPtr patched,
+                        PatchedClone(hub, [&](index::HubPointIndex& idx) {
+                          return idx.ErasePoint(*src_.hub_labels,
+                                                spec.point, host);
+                        }));
+  desc.op = UpdateDescriptor::Op::kDeletePoint;
+  desc.node = host;
+  desc.point = spec.point;
+  auto remove = [&]() -> Status {
+    GRNN_RETURN_NOT_OK(set.RemovePoint(spec.point));
+    // The index follows the set at once, so a failing maintenance or
+    // commit below cannot leave the deleted point in it.
+    hub = std::move(patched);
+    return store == nullptr ? Status::OK()
+                            : MaterializedDelete(*src_.graph, set,
+                                                 spec.point, host, store,
+                                                 &out.stats);
+  };
+  GRNN_RETURN_NOT_OK(Journaled(store, desc, &out.stats, remove));
   out.point = spec.point;
   return out;
 }
 
 Result<RknnEngine::UpdateResult> RknnEngine::ApplyEdgeUpdate(
-    const UpdateSpec& spec, EdgePointSet& set, KnnStore* store) {
+    const UpdateSpec& spec, EdgePointSet& set, KnnStore* store,
+    HubIndexPtr& hub) {
   UpdateResult out;
+  UpdateDescriptor desc;
+  desc.domain = static_cast<uint32_t>(spec.set);
   if (spec.op == UpdateSpec::Op::kInsert) {
     GRNN_ASSIGN_OR_RETURN(
         out.point, set.AddPoint(*src_.updates.base_graph, spec.position));
-    if (store != nullptr) {
-      UpdateDescriptor desc;
-      desc.op = UpdateDescriptor::Op::kInsertEdgePoint;
-      desc.domain = static_cast<uint32_t>(spec.set);
-      desc.point = out.point;
-      desc.edge_u = spec.position.u;
-      desc.edge_v = spec.position.v;
-      desc.edge_offset = spec.position.pos;
-      Status maintained = store->BeginUpdate(desc);
-      if (maintained.ok()) {
-        maintained = UnrestrictedMaterializedInsert(
-            *src_.graph, set, out.point, store, &out.stats);
-      }
-      if (maintained.ok()) {
-        maintained = store->CommitUpdate(&out.stats);
-      }
-      if (!maintained.ok()) {
-        store->AbortUpdate();
-        (void)set.RemovePoint(out.point);
-        return maintained;
-      }
+    desc.op = UpdateDescriptor::Op::kInsertEdgePoint;
+    desc.point = out.point;
+    desc.edge_u = spec.position.u;
+    desc.edge_v = spec.position.v;
+    desc.edge_offset = spec.position.pos;
+    // The canonicalized position read back from the set makes the
+    // spliced occurrences match a from-scratch Build bit for bit.
+    HubIndexPtr patched;
+    Status done = Journaled(store, desc, &out.stats, [&]() -> Status {
+      GRNN_ASSIGN_OR_RETURN(
+          patched, PatchedClone(hub, [&](index::HubPointIndex& idx) {
+            return idx.InsertEdgePoint(*src_.hub_labels, out.point,
+                                       set.PositionOf(out.point),
+                                       set.EdgeWeightOfPoint(out.point));
+          }));
+      return store == nullptr
+                 ? Status::OK()
+                 : UnrestrictedMaterializedInsert(*src_.graph, set,
+                                                  out.point, store,
+                                                  &out.stats);
+    });
+    if (!done.ok()) {
+      (void)set.RemovePoint(out.point);  // inside the bracket, as above
+      return done;
     }
+    hub = std::move(patched);
     return out;
   }
   if (!set.IsLive(spec.point)) {
     return Status::NotFound(StrPrintf(
         "point %u is not live in the edge point set", spec.point));
   }
+  // A delete tombstones the point, which forgets its position: capture
+  // it for the patch, the journal and the maintenance first.
   const EdgePosition old_pos = set.PositionOf(spec.point);
   const Weight old_weight = set.EdgeWeightOfPoint(spec.point);
-  if (store != nullptr) {
-    UpdateDescriptor desc;
-    desc.op = UpdateDescriptor::Op::kDeleteEdgePoint;
-    desc.domain = static_cast<uint32_t>(spec.set);
-    desc.point = spec.point;
-    desc.edge_u = old_pos.u;
-    desc.edge_v = old_pos.v;
-    desc.edge_offset = old_pos.pos;
-    GRNN_RETURN_NOT_OK(store->BeginUpdate(desc));
-  }
-  Status removed = set.RemovePoint(spec.point);
-  if (!removed.ok()) {
-    if (store != nullptr) {
-      store->AbortUpdate();
-    }
-    return removed;
-  }
-  if (store != nullptr) {
-    Status maintained = UnrestrictedMaterializedDelete(
-        *src_.graph, set, spec.point, old_pos, old_weight, store,
-        &out.stats);
-    if (maintained.ok()) {
-      maintained = store->CommitUpdate(&out.stats);
-    }
-    if (!maintained.ok()) {
-      store->AbortUpdate();
-      return maintained;
-    }
-  }
+  GRNN_ASSIGN_OR_RETURN(
+      HubIndexPtr patched,
+      PatchedClone(hub, [&](index::HubPointIndex& idx) {
+        return idx.EraseEdgePoint(*src_.hub_labels, spec.point, old_pos,
+                                  old_weight);
+      }));
+  desc.op = UpdateDescriptor::Op::kDeleteEdgePoint;
+  desc.point = spec.point;
+  desc.edge_u = old_pos.u;
+  desc.edge_v = old_pos.v;
+  desc.edge_offset = old_pos.pos;
+  auto remove = [&]() -> Status {
+    GRNN_RETURN_NOT_OK(set.RemovePoint(spec.point));
+    hub = std::move(patched);  // the index follows the set at once
+    return store == nullptr
+               ? Status::OK()
+               : UnrestrictedMaterializedDelete(*src_.graph, set,
+                                                spec.point, old_pos,
+                                                old_weight, store,
+                                                &out.stats);
+  };
+  GRNN_RETURN_NOT_OK(Journaled(store, desc, &out.stats, remove));
   out.point = spec.point;
   return out;
 }
-
-namespace {
-
-/// Lock mode: splice one point's occurrences into the live hub index
-/// slot. Caller holds the domain's exclusive lock. Failure (or an
-/// already-stale or absent index) trips `stale`, routing hub queries
-/// to the exact eager fallback until RebuildIndex().
-template <typename PatchFn>
-void PatchHubIndexLocked(std::atomic<bool>& stale,
-                         std::unique_ptr<index::HubPointIndex>& slot,
-                         PatchFn&& patch) {
-  if (stale.load(std::memory_order_acquire) || slot == nullptr) {
-    stale.store(true, std::memory_order_release);
-    return;
-  }
-  if (!patch(*slot).ok()) {
-    // A failed erase can leave a partial patch behind; staleness makes
-    // that harmless (the index is bypassed until rebuilt).
-    stale.store(true, std::memory_order_release);
-  }
-}
-
-/// Snapshot mode: clone-and-splice into the version being published.
-/// The clone is cheap — per-hub runs are shared copy-on-write and the
-/// patch copies only the runs it touches. On any structural failure
-/// every hub index of the version drops and hub_stale is set, so hub
-/// queries against it fall back to exact eager expansion.
-template <typename PatchFn>
-void PatchVersionHubIndex(serve::WorldVersion& v,
-                          std::shared_ptr<const index::HubPointIndex>* slot,
-                          PatchFn&& patch) {
-  if (v.hub_stale || *slot == nullptr) {
-    v.hub_points.reset();
-    v.hub_sites.reset();
-    v.hub_edge_points.reset();
-    v.hub_stale = true;
-    return;
-  }
-  auto next = std::make_shared<index::HubPointIndex>(**slot);
-  if (!patch(*next).ok()) {
-    v.hub_points.reset();
-    v.hub_sites.reset();
-    v.hub_edge_points.reset();
-    v.hub_stale = true;
-    return;
-  }
-  *slot = std::move(next);
-}
-
-}  // namespace
 
 Result<RknnEngine::UpdateResult> RknnEngine::SnapshotNodeUpdate(
     const UpdateSpec& spec) {
   const bool is_points = spec.set == UpdateSet::kPoints;
   // Exclusive writer lock of the domain: same-domain updates serialize
-  // here, so the copy below always derives from the latest state of
-  // this domain. Readers never take this lock in snapshot mode.
+  // here, so the copies below always derive from the latest state of
+  // this domain, and nothing else writes its slots in the successor.
+  // Readers never take this lock in snapshot mode.
   std::unique_lock<std::shared_mutex> lock(
       state_->domain_mu[is_points ? kDomainPoints : kDomainSites]);
   std::shared_ptr<const serve::WorldVersion> base = CurrentVersion();
@@ -1362,13 +1132,9 @@ Result<RknnEngine::UpdateResult> RknnEngine::SnapshotNodeUpdate(
     store_copy = std::make_shared<MemoryKnnStore>(
         *static_cast<const MemoryKnnStore*>(base_store));
   }
-  // A delete tombstones the point, which forgets its host node — the
-  // hub-index patch below needs it, so capture it first.
-  const NodeId host = spec.op == UpdateSpec::Op::kDelete
-                          ? set_copy->NodeOf(spec.point)
-                          : spec.node;
+  HubIndexPtr hub = is_points ? base->hub_points : base->hub_sites;
   Result<UpdateResult> result =
-      ApplyNodeUpdate(spec, *set_copy, store_copy.get());
+      ApplyNodeUpdate(spec, *set_copy, store_copy.get(), hub);
   if (!result.ok()) {
     // Nothing published: the served world is untouched even by the
     // mid-maintenance failure cases of the lock-mode contract.
@@ -1377,26 +1143,12 @@ Result<RknnEngine::UpdateResult> RknnEngine::SnapshotNodeUpdate(
   PublishVersion([&](serve::WorldVersion& v) {
     if (is_points) {
       v.points = std::move(set_copy);
-      if (store_copy != nullptr) {
-        v.knn = std::move(store_copy);
-      }
+      v.knn = std::move(store_copy);
+      v.hub_points = std::move(hub);
     } else {
       v.sites = std::move(set_copy);
-      if (store_copy != nullptr) {
-        v.site_knn = std::move(store_copy);
-      }
-    }
-    if (src_.hub_labels != nullptr) {
-      // Keep the derived hub index exact: clone-and-splice the one
-      // changed point (COW — untouched per-hub runs are shared with
-      // the predecessor version).
-      auto* slot = is_points ? &v.hub_points : &v.hub_sites;
-      PatchVersionHubIndex(v, slot, [&](index::HubPointIndex& idx) {
-        return spec.op == UpdateSpec::Op::kInsert
-                   ? idx.InsertPoint(*src_.hub_labels, result->point,
-                                     host)
-                   : idx.ErasePoint(*src_.hub_labels, spec.point, host);
-      });
+      v.site_knn = std::move(store_copy);
+      v.hub_sites = std::move(hub);
     }
   });
   return result;
@@ -1415,27 +1167,11 @@ Result<RknnEngine::UpdateResult> RknnEngine::SnapshotEdgeUpdate(
     store_copy = std::make_shared<MemoryKnnStore>(
         *static_cast<const MemoryKnnStore*>(base->knn.get()));
   }
-  // A delete tombstones the point, which forgets its position — the
-  // hub-index patch below needs it, so capture it first.
-  const bool is_delete = spec.op == UpdateSpec::Op::kDelete;
-  EdgePosition old_pos{};
-  Weight old_weight = 0;
-  if (is_delete && set_copy->IsLive(spec.point)) {
-    old_pos = set_copy->PositionOf(spec.point);
-    old_weight = set_copy->EdgeWeightOfPoint(spec.point);
-  }
+  HubIndexPtr hub = base->hub_edge_points;
   Result<UpdateResult> result =
-      ApplyEdgeUpdate(spec, *set_copy, store_copy.get());
+      ApplyEdgeUpdate(spec, *set_copy, store_copy.get(), hub);
   if (!result.ok()) {
     return result;
-  }
-  // Inserts read the canonicalized position back from the set so the
-  // spliced occurrences match a from-scratch Build bit for bit.
-  EdgePosition new_pos{};
-  Weight new_weight = 0;
-  if (!is_delete) {
-    new_pos = set_copy->PositionOf(result->point);
-    new_weight = set_copy->EdgeWeightOfPoint(result->point);
   }
   auto reader_copy =
       std::make_shared<MemoryEdgePointReader>(set_copy.get());
@@ -1444,20 +1180,8 @@ Result<RknnEngine::UpdateResult> RknnEngine::SnapshotEdgeUpdate(
     // built over, and WorldVersion destroys the reader first.
     v.edge_points = std::move(set_copy);
     v.edge_reader = std::move(reader_copy);
-    if (store_copy != nullptr) {
-      v.knn = std::move(store_copy);
-    }
-    if (src_.hub_labels != nullptr) {
-      PatchVersionHubIndex(
-          v, &v.hub_edge_points, [&](index::HubPointIndex& idx) {
-            return is_delete
-                       ? idx.EraseEdgePoint(*src_.hub_labels, spec.point,
-                                            old_pos, old_weight)
-                       : idx.InsertEdgePoint(*src_.hub_labels,
-                                             result->point, new_pos,
-                                             new_weight);
-          });
-    }
+    v.knn = std::move(store_copy);
+    v.hub_edge_points = std::move(hub);
   });
   return result;
 }
@@ -1476,30 +1200,8 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       }
       std::unique_lock<std::shared_mutex> lock(
           state_->domain_mu[kDomainPoints]);
-      // Deletes tombstone the point before the patch runs, so capture
-      // the host node while the set still remembers it.
-      const NodeId host = spec.op == UpdateSpec::Op::kDelete
-                              ? src_.updates.points->NodeOf(spec.point)
-                              : spec.node;
-      Result<UpdateResult> result =
-          ApplyNodeUpdate(spec, *src_.updates.points, src_.updates.knn);
-      if (result.ok()) {
-        state_->node_gen.fetch_add(1, std::memory_order_seq_cst);
-        if (src_.hub_labels != nullptr) {
-          // Keep the derived hub index exact: splice the one changed
-          // point under the exclusive lock already held.
-          PatchHubIndexLocked(
-              state_->hub_stale, state_->hub_points,
-              [&](index::HubPointIndex& idx) {
-                return spec.op == UpdateSpec::Op::kInsert
-                           ? idx.InsertPoint(*src_.hub_labels,
-                                             result->point, host)
-                           : idx.ErasePoint(*src_.hub_labels, spec.point,
-                                            host);
-              });
-        }
-      }
-      return result;
+      return ApplyNodeUpdate(spec, *src_.updates.points, src_.updates.knn,
+                             state_->hub_points);
     }
     case UpdateSet::kSites: {
       if (src_.updates.sites == nullptr) {
@@ -1512,26 +1214,8 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       }
       std::unique_lock<std::shared_mutex> lock(
           state_->domain_mu[kDomainSites]);
-      const NodeId host = spec.op == UpdateSpec::Op::kDelete
-                              ? src_.updates.sites->NodeOf(spec.point)
-                              : spec.node;
-      Result<UpdateResult> result = ApplyNodeUpdate(
-          spec, *src_.updates.sites, src_.updates.site_knn);
-      if (result.ok()) {
-        state_->node_gen.fetch_add(1, std::memory_order_seq_cst);
-        if (src_.hub_labels != nullptr) {
-          PatchHubIndexLocked(
-              state_->hub_stale, state_->hub_sites,
-              [&](index::HubPointIndex& idx) {
-                return spec.op == UpdateSpec::Op::kInsert
-                           ? idx.InsertPoint(*src_.hub_labels,
-                                             result->point, host)
-                           : idx.ErasePoint(*src_.hub_labels, spec.point,
-                                            host);
-              });
-        }
-      }
-      return result;
+      return ApplyNodeUpdate(spec, *src_.updates.sites,
+                             src_.updates.site_knn, state_->hub_sites);
     }
     case UpdateSet::kEdgePoints: {
       if (src_.updates.edge_points == nullptr) {
@@ -1544,41 +1228,10 @@ Result<RknnEngine::UpdateResult> RknnEngine::DispatchUpdate(
       }
       std::unique_lock<std::shared_mutex> lock(
           state_->domain_mu[kDomainEdge]);
-      EdgePointSet& set = *src_.updates.edge_points;
-      // Deletes tombstone the point before the patch runs, so capture
-      // its position while the set still remembers it.
-      const bool is_delete = spec.op == UpdateSpec::Op::kDelete;
-      EdgePosition old_pos{};
-      Weight old_weight = 0;
-      if (is_delete && set.IsLive(spec.point)) {
-        old_pos = set.PositionOf(spec.point);
-        old_weight = set.EdgeWeightOfPoint(spec.point);
-      }
       // knn (when present) is the edge-point store: Create rejects an
       // updatable knn on an engine that also serves node points.
-      Result<UpdateResult> result =
-          ApplyEdgeUpdate(spec, set, src_.updates.knn);
-      if (result.ok()) {
-        state_->node_gen.fetch_add(1, std::memory_order_seq_cst);
-        if (src_.hub_labels != nullptr) {
-          PatchHubIndexLocked(
-              state_->hub_stale, state_->hub_edge,
-              [&](index::HubPointIndex& idx) {
-                // Inserts read the canonicalized position back from
-                // the set so the spliced occurrences match a
-                // from-scratch Build bit for bit.
-                return is_delete
-                           ? idx.EraseEdgePoint(*src_.hub_labels,
-                                                spec.point, old_pos,
-                                                old_weight)
-                           : idx.InsertEdgePoint(
-                                 *src_.hub_labels, result->point,
-                                 set.PositionOf(result->point),
-                                 set.EdgeWeightOfPoint(result->point));
-              });
-        }
-      }
-      return result;
+      return ApplyEdgeUpdate(spec, *src_.updates.edge_points,
+                             src_.updates.knn, state_->hub_edge);
     }
   }
   return Status::InvalidArgument("unknown update set");

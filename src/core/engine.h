@@ -39,14 +39,15 @@
 //     quiesce first.
 //   * The hub-label point indices (EngineSources::hub_labels, PR 5) are
 //     engine-owned DERIVED state covering all three point domains
-//     (points, sites, edge points). Every update patches its domain's
-//     index INCREMENTALLY inside the exclusive section it already
-//     holds (lock mode: splice in place; snapshot mode: clone-and-
-//     splice with copy-on-write per-hub runs), so the indices stay
-//     exact across updates and every query kind keeps its label path.
-//     A query only reads the index of a domain whose shared lock (or
-//     pinned version) it holds. The staleness flag now trips only on
-//     structural patch failures — see the contract at RebuildIndex().
+//     (points, sites, edge points). Patching its domain's index is a
+//     step of every update, inside the exclusive section it already
+//     holds, in both read modes: the update splices the one changed
+//     point into a clone (per-hub runs are shared copy-on-write) and
+//     installs the clone together with the set change, so the indices
+//     always equal the sets and every query kind keeps its label path.
+//     An update whose patch fails fails and changes no set, list or
+//     index. A query only reads the index of a domain whose shared
+//     lock (or pinned version) it holds.
 //   * EPOCH-SNAPSHOT SERVING (EngineSources::snapshot_reads, PR 6):
 //     when enabled, queries stop taking domain locks entirely. Dispatch
 //     pins an epoch (serve/epoch.h) and runs against the currently
@@ -158,9 +159,9 @@ const char* UpdateSetName(UpdateSet set);
 /// \brief One live update, fully described: insert or delete of a data
 /// point in one of the engine's point populations. Applying it through
 /// RknnEngine::ApplyUpdate mutates the point set AND incrementally
-/// maintains the matching materialized KNN store (Figs 9-11) under the
-/// domain's exclusive lock, so concurrent queries see either the whole
-/// update or none of it.
+/// maintains the matching materialized KNN store (Figs 9-11) and hub
+/// point index under the domain's exclusive lock, so concurrent queries
+/// see either the whole update or none of it.
 struct UpdateSpec {
   enum class Op { kInsert, kDelete };
 
@@ -220,9 +221,8 @@ struct EngineSources {
   /// Algorithm::kHubLabel for ALL four query kinds — monochromatic,
   /// bichromatic, continuous (min-over-route sweep) and unrestricted
   /// (edge-resident points via offset endpoint labels). The engine
-  /// derives inverted point indices from it at Create and maintains
-  /// them incrementally across live updates (see the staleness
-  /// contract at RebuildIndex below).
+  /// derives inverted point indices from it at Create and patches them
+  /// as a step of every live update (see ApplyUpdate below).
   const index::LabelStore* hub_labels = nullptr;
   /// When set, RunBatch reports the I/O charged to this pool per batch.
   storage::BufferPool* pool = nullptr;
@@ -252,9 +252,9 @@ struct EngineSources {
   /// \brief Optional process-wide metrics registry (src/obs/). When
   /// set, Create registers a collector that bridges every engine-side
   /// counter — lifetime EngineStats, buffer-pool per-shard IoStats,
-  /// WAL stats, epoch stats, hub staleness/rebuilds, trace sampling —
-  /// into registry.Snapshot() under the "engine."/"pool."/"wal."
-  /// namespaces. Must outlive the engine.
+  /// WAL stats, epoch stats, trace sampling — into registry.Snapshot()
+  /// under the "engine."/"pool."/"wal." namespaces. Must outlive the
+  /// engine.
   obs::MetricsRegistry* metrics = nullptr;
   /// Trace sampling + slow-query policy (zero-initialized = tracing
   /// armed only for queries carrying QuerySpec::trace, no slow-query
@@ -339,41 +339,24 @@ class RknnEngine {
   /// Requires the matching UpdateSinks pointers.
   ///
   /// Failure atomicity: validation errors (bad spec, unknown point,
-  /// occupied node) are raised before anything mutates and leave the
-  /// domain untouched; a failed insert additionally rolls the point
-  /// back out of the set. A maintenance I/O error is NOT undone — for
-  /// deletes the point is already out of the set and its list entries
-  /// may survive, for inserts mid-maintenance the store may hold a
-  /// partial write — so treat any maintenance error as the domain
-  /// being corrupt: quiesce and rebuild with BuildAllNn. (The buffer
-  /// pool absorbs transient pin contention internally, so maintenance
-  /// errors mean real I/O trouble, not concurrency noise.)
+  /// occupied node) are raised before the set or the store changes and
+  /// leave the domain untouched. A hub-index patch error (a label scan
+  /// failing) changes no set, list or index either: a delete patches
+  /// before it touches anything, an insert patches inside the store's
+  /// BeginUpdate/AbortUpdate bracket. A failed insert rolls the point
+  /// back out of the set, which burns its id, and always aborts the
+  /// bracket, so a DurableKnnStore learns of every burned id. The
+  /// domain's hub point index always equals its set: an insert installs
+  /// its patched index only once the whole update stands, a delete as
+  /// soon as the point leaves the set. A
+  /// store maintenance error is NOT undone — for deletes the point is
+  /// already out of the set and its list entries may survive, for
+  /// inserts mid-maintenance the store may hold a partial write — so
+  /// treat any maintenance error as the store being corrupt: quiesce
+  /// and rebuild with BuildAllNn. (The buffer pool absorbs transient
+  /// pin contention internally, so maintenance errors mean real I/O
+  /// trouble, not concurrency noise.)
   Result<UpdateResult> ApplyUpdate(const UpdateSpec& spec);
-
-  /// \brief Rebuilds the hub-label point indices from the CURRENT point
-  /// and site sets and clears the staleness flag, under exclusive locks
-  /// on both node domains (safe concurrent with queries and updates).
-  ///
-  /// Staleness contract (Algorithm::kHubLabel): the labels themselves
-  /// depend only on the immutable graph, and the derived inverted
-  /// point indices are maintained INCREMENTALLY — every ApplyUpdate
-  /// splices the one changed point into its domain's index (in place under the held exclusive lock in lock
-  /// mode; clone-and-splice onto the published version in snapshot
-  /// mode), so updates do NOT take the label path away. The stale
-  /// flag trips only when a patch fails structurally (e.g. a
-  /// label-universe mismatch, or an occurrence missing mid-erase);
-  /// while stale, hub-label queries transparently fall back to the
-  /// exact eager expansion (each fallback increments
-  /// SearchStats::hub_fallbacks) until this is called. On a healthy
-  /// engine this is a consistency check, not a requirement: it
-  /// rebuilds every domain's index from scratch and clears the flag.
-  /// Requires EngineSources::hub_labels.
-  Status RebuildIndex();
-
-  /// True when an update could not patch the hub point indices
-  /// incrementally and RebuildIndex has not run yet (always false
-  /// without hub_labels; expected false under normal update traffic).
-  bool hub_index_stale() const;
 
   /// Snapshot of the cumulative counters across every completed
   /// Run/RunBatch on this engine.
@@ -395,7 +378,8 @@ class RknnEngine {
   size_t ReclaimVersions();
 
   /// Publication sequence of the currently served world version; 0 in
-  /// lock mode. Increments on every published update and RebuildIndex.
+  /// lock mode. Increments on every successful update; a failed update
+  /// publishes nothing.
   uint64_t world_seq() const;
 
   /// Removes and returns every retained slow query (oldest first).
@@ -411,12 +395,10 @@ class RknnEngine {
   /// one pinned serve::WorldVersion (snapshot mode).
   struct QueryWorld;
 
-  explicit RknnEngine(const EngineSources& sources);
+  /// One domain's hub point index slot (null without hub_labels).
+  using HubIndexPtr = std::shared_ptr<const index::HubPointIndex>;
 
-  /// Rebuild body shared by Create and RebuildIndex; caller holds the
-  /// exclusive locks of every indexed domain (or is still
-  /// single-owner).
-  Status RebuildHubIndexesLocked();
+  explicit RknnEngine(const EngineSources& sources);
 
   const EdgePointReader* edge_reader() const {
     return src_.edge_reader != nullptr ? src_.edge_reader
@@ -448,10 +430,16 @@ class RknnEngine {
   Result<RknnResult> RunSpec(const QuerySpec& spec, const QueryWorld& world,
                              SearchWorkspace& ws);
   Result<UpdateResult> DispatchUpdate(const UpdateSpec& spec);
+  /// Applies one update of a node (edge) domain to `set`, maintaining
+  /// `store` (nullable) and replacing `hub` with its patched clone (see
+  /// the ApplyUpdate failure contract). The caller holds the domain's
+  /// exclusive lock; in snapshot mode all three are private copies.
   Result<UpdateResult> ApplyNodeUpdate(const UpdateSpec& spec,
-                                       NodePointSet& set, KnnStore* store);
+                                       NodePointSet& set, KnnStore* store,
+                                       HubIndexPtr& hub);
   Result<UpdateResult> ApplyEdgeUpdate(const UpdateSpec& spec,
-                                       EdgePointSet& set, KnnStore* store);
+                                       EdgePointSet& set, KnnStore* store,
+                                       HubIndexPtr& hub);
   Result<RknnResult> RunMonochromatic(const QuerySpec& spec,
                                       const QueryWorld& world,
                                       SearchWorkspace& ws);

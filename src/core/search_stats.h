@@ -33,11 +33,10 @@ struct SearchStats {
   /// (index/hub_rknn.h) — the label-intersection analogue of
   /// nodes_scanned.
   uint64_t label_entries = 0;
-  /// Hub-label queries answered by the expansion fallback because the
-  /// engine's derived point index was stale or absent (see RknnEngine::
-  /// RebuildIndex). Incremented once per falling-back query, so the
-  /// counter ACCUMULATES across a batch or an engine lifetime; with
-  /// incremental index maintenance it stays 0 at steady state.
+  /// Always 0: hub-label queries no longer fall back to an expansion
+  /// (an update whose hub-index patch fails fails instead). Kept only
+  /// because the benchmark harness still reads it; delete it together
+  /// with that reader.
   uint64_t hub_fallbacks = 0;
 
   SearchStats& operator+=(const SearchStats& o) {

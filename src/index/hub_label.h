@@ -19,12 +19,12 @@
 // cursor). One layout in memory (HubEntry runs), one format on disk,
 // one serial builder.
 //
-// Staleness contract: labels depend only on the GRAPH, which is immutable
-// for the lifetime of an engine; they never go stale. The derived
-// inverted point index (index/hub_point_index.h) depends on the point
-// sets and is maintained INCREMENTALLY across live updates (splice one
-// point's occurrences per update); it goes stale only when a patch
-// fails structurally — see core/engine.h, RebuildIndex().
+// Freshness: labels depend only on the GRAPH, which is immutable for
+// the lifetime of an engine; they never go stale. The derived inverted
+// point index (index/hub_point_index.h) depends on the point sets and is
+// patched as a step of every live update (one point's occurrences per
+// update); an update whose patch fails fails whole, so the index always
+// equals the sets — see RknnEngine::ApplyUpdate in core/engine.h.
 
 #ifndef GRNN_INDEX_HUB_LABEL_H_
 #define GRNN_INDEX_HUB_LABEL_H_

@@ -18,14 +18,14 @@
 // path). It is maintained INCREMENTALLY: InsertPoint / ErasePoint (and
 // their edge-point counterparts) splice one point's occurrence entries
 // into the per-hub (dist, point)-sorted runs, producing bit-for-bit the
-// index a from-scratch Build over the updated set would — the engine
-// patches its instances inside each update's exclusive domain section
-// (lock mode) or clones-and-patches per published version (snapshot
-// mode). Per-hub runs sit behind shared_ptr so a copy of the index
-// shares every run and a patch clones only the runs it touches
-// (copy-on-write at hub granularity). See the staleness contract in
-// core/engine.h for the rare structural failures that still force a
-// RebuildIndex.
+// index a from-scratch Build over the updated set would — in both read
+// modes the engine patches a clone inside each update's exclusive
+// domain section and installs it with the set change. Per-hub runs sit
+// behind shared_ptr so a copy of the index shares every run and a patch
+// clones only the runs it touches (copy-on-write at hub granularity).
+// A failing patch (a label scan error, or a missing occurrence) fails
+// the engine's update, which then changes no set, list or index
+// (core/engine.h, ApplyUpdate).
 
 #ifndef GRNN_INDEX_HUB_POINT_INDEX_H_
 #define GRNN_INDEX_HUB_POINT_INDEX_H_
@@ -86,9 +86,9 @@ class HubPointIndex {
   // them; untouched runs stay shared with any copies of the index) and
   // yields bit-for-bit the index Build would produce over the updated
   // set. Erase recomputes the occurrence distances from the SAME labels
-  // and fails with Internal if an expected entry is missing — the
-  // structural signal for the engine to fall dark (hub_stale) and
-  // RebuildIndex.
+  // and fails with Internal if an expected entry is missing. A failed
+  // call may leave the index partly patched: the engine patches only
+  // clones, and drops a clone whose patch failed.
 
   /// Splices the occurrences of point `p` hosted on `node`.
   Status InsertPoint(const LabelStore& labels, PointId p, NodeId node);

@@ -2,9 +2,8 @@
 // Log-linear histogram: the one histogram shape used everywhere
 // (scheduler latency, registry histograms, bench percentiles).
 //
-// Grew out of the serving layer's LatencyHistogram (PR 6); PR 10 moved
-// it here so the metrics registry and the scheduler share one
-// implementation. `serve::LatencyHistogram` remains as an alias.
+// Grew out of the serving layer's latency histogram and moved here so
+// the metrics registry and the scheduler share one implementation.
 
 #ifndef GRNN_OBS_HISTOGRAM_H_
 #define GRNN_OBS_HISTOGRAM_H_

@@ -98,7 +98,7 @@ void Scheduler::Shutdown() {
 }
 
 Scheduler::Ticket Scheduler::Submit(core::QuerySpec spec) {
-  return Submit(std::move(spec), opts_.default_deadline_micros);
+  return Submit(std::move(spec), /*deadline_micros=*/0);
 }
 
 Scheduler::Ticket Scheduler::Submit(core::QuerySpec spec,
@@ -106,10 +106,14 @@ Scheduler::Ticket Scheduler::Submit(core::QuerySpec spec,
   auto req = std::make_shared<Ticket::Request>();
   req->spec = std::move(spec);
   req->submit = Clock::now();
-  req->deadline = deadline_micros == 0
-                      ? Clock::time_point::max()
-                      : req->submit +
-                            std::chrono::microseconds(deadline_micros);
+  // A deadline the clock cannot represent is no deadline: saturate
+  // instead of overflowing the conversion.
+  const bool no_deadline =
+      deadline_micros == 0 ||
+      deadline_micros > MicrosBetween(req->submit, Clock::time_point::max());
+  req->deadline = no_deadline ? Clock::time_point::max()
+                              : req->submit +
+                                    std::chrono::microseconds(deadline_micros);
   bool shed = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -173,28 +177,6 @@ void Scheduler::WorkerLoop() {
       while (!queue_.empty() && batch.size() < opts_.max_batch) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
-      }
-      if (batch.size() < opts_.max_batch &&
-          opts_.batch_window_micros > 0 && !stopping_) {
-        // Hold the batch open briefly: near-simultaneous arrivals ride
-        // in this RunBatch instead of paying their own dispatch.
-        const auto close_at =
-            Clock::now() +
-            std::chrono::microseconds(opts_.batch_window_micros);
-        while (batch.size() < opts_.max_batch) {
-          if (!queue_cv_.wait_until(lock, close_at, [&] {
-                return stopping_ || !queue_.empty();
-              })) {
-            break;  // window closed
-          }
-          if (stopping_ && queue_.empty()) {
-            break;
-          }
-          while (!queue_.empty() && batch.size() < opts_.max_batch) {
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-          }
-        }
       }
     }
     if (opts_.batch_hook) {

@@ -15,11 +15,10 @@
 //     of admitted requests stays bounded and the failure mode is an
 //     explicit signal the client can back off on, not collapse.
 //   * BATCHING — a worker drains whatever is queued (up to max_batch)
-//     and may hold the batch open for batch_window_micros to coalesce
-//     near-simultaneous arrivals. Window 0 never waits: batches form
-//     opportunistically from what the queue holds, so an idle server
-//     runs singletons at minimum latency and a busy one runs full
-//     batches at maximum throughput.
+//     and never waits for more: batches form opportunistically from
+//     what the queue holds, so an idle server runs singletons at
+//     minimum latency and a busy one runs full batches at maximum
+//     throughput.
 //   * DEADLINES — a request carrying a deadline that expires before
 //     execution starts completes with kResourceExhausted instead of
 //     burning engine time on an answer the client stopped waiting for.
@@ -56,11 +55,6 @@
 
 namespace grnn::serve {
 
-/// The scheduler's latency histogram is the shared obs::Histogram
-/// (this alias preserves the PR 6 name; the implementation moved to
-/// src/obs/ in PR 10).
-using LatencyHistogram = obs::Histogram;
-
 struct SchedulerOptions {
   /// Worker threads, each a drain loop executing batches.
   int num_workers = 1;
@@ -68,13 +62,6 @@ struct SchedulerOptions {
   size_t queue_capacity = 1024;
   /// Most specs coalesced into one engine RunBatch call.
   size_t max_batch = 32;
-  /// How long a worker holds a non-full batch open for more arrivals.
-  /// 0 = never wait (lowest latency when idle).
-  uint64_t batch_window_micros = 0;
-  /// Deadline applied to every request without its own; 0 = none.
-  /// Requests whose deadline passes before execution are completed
-  /// with kResourceExhausted, unrun.
-  uint64_t default_deadline_micros = 0;
   /// TEST SEAM: called by the draining worker after batch formation,
   /// before execution (argument: batch size). Lets tests hold workers
   /// mid-pipeline to fill the queue deterministically. Leave unset.
@@ -133,7 +120,7 @@ class Scheduler {
     /// Batches whose RunBatch failed and were replayed per-spec so the
     /// error lands on the request that caused it.
     uint64_t batch_fallbacks = 0;
-    LatencyHistogram latency;
+    obs::Histogram latency;
   };
 
   /// Starts the worker loops immediately. The engine must outlive the
@@ -143,11 +130,14 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Submits one request; never blocks. At a full queue (or after
-  /// Shutdown) the ticket completes immediately as kShed with
-  /// kResourceExhausted.
+  /// Submits one request without a deadline; never blocks. At a full
+  /// queue (or after Shutdown) the ticket completes immediately as
+  /// kShed with kResourceExhausted.
   Ticket Submit(core::QuerySpec spec);
-  /// As above with a per-request deadline overriding the default.
+  /// As above with a deadline `deadline_micros` after submission: a
+  /// request still queued when it passes completes as kExpired with
+  /// kResourceExhausted, unrun. 0, or a deadline beyond the clock's
+  /// range, means none.
   Ticket Submit(core::QuerySpec spec, uint64_t deadline_micros);
 
   /// Stops admission, drains everything already queued and joins the

@@ -17,9 +17,8 @@
 //   * Every member of a PUBLISHED version is immutable. Builders
 //     mutate only their private copies before publication.
 //   * Domains untouched by an update alias the previous version
-//     (pointer-equal shared_ptrs), which is also how RebuildIndex
-//     detects that a snapshot it derived indexes from is still
-//     current.
+//     (pointer-equal shared_ptrs). Only the update holding a domain's
+//     exclusive lock writes that domain's members, hub index included.
 //   * The graph and the hub labels are engine-lifetime immutable and
 //     are NOT versioned; versions only carry what updates can change.
 //   * Sources the engine cannot update are wrapped unowned
@@ -70,18 +69,13 @@ struct WorldVersion {
   // --- Derived hub point indexes (Algorithm::kHubLabel) ---
   /// Maintained INCREMENTALLY: an update clones its domain's index and
   /// splices the one changed point (the per-hub runs are shared
-  /// copy-on-write, so the clone is cheap), keeping the published index
-  /// exact. Null only while absent or after a structural patch failure;
-  /// hub queries against such a version fall back to the eager
-  /// expansion exactly as in lock mode.
+  /// copy-on-write, so the clone is cheap), so every published index
+  /// equals its published set. Null only without hub labels or without
+  /// the population; an update whose patch fails publishes nothing.
   std::shared_ptr<const index::HubPointIndex> hub_points;
   std::shared_ptr<const index::HubPointIndex> hub_sites;
   /// Edge-resident point occurrences (unrestricted hub queries).
   std::shared_ptr<const index::HubPointIndex> hub_edge_points;
-  /// True when an update could not patch the hub indexes incrementally
-  /// (structural failure, e.g. label-universe mismatch) and no
-  /// RebuildIndex publication has superseded it yet.
-  bool hub_stale = false;
 };
 
 }  // namespace grnn::serve

@@ -631,12 +631,10 @@ void ExpectHubIndexesIdentical(const index::HubPointIndex& got,
 // in-memory HubLabelIndex AND from a LabelFile reopened off disk,
 // serially and under concurrent Run callers, with the two label
 // backends bit-for-bit identical to each other. Then seeded update
-// bursts flow through updatable engines: the incrementally maintained
-// indexes must never go stale (hub_fallbacks stays 0), a test-side
+// bursts flow through updatable engines: every update must succeed and
+// keep the label path serving oracle-exact answers, and a test-side
 // mirror patched with the same splices must equal a from-scratch
-// HubPointIndex::Build over the mutated sets bit for bit, and
-// RebuildIndex() acts as a consistency check that leaves answers
-// unchanged.
+// HubPointIndex::Build over the mutated sets bit for bit.
 TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("replay: differential_test seed=" + std::to_string(seed) +
@@ -726,8 +724,8 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   CheckConcurrentRunsMatchSerial(stored_edge, edge_specs, seed);
   EXPECT_EQ(pool->num_pinned(), 0u);
 
-  // Incremental-maintenance bursts: every update splices the hub
-  // indexes in place, so the label path never goes dark. A test-side
+  // Incremental-maintenance bursts: every update splices its domain's
+  // hub index, so the label path never goes dark. A test-side
   // mirror receives the same splices and must stay bit-for-bit equal
   // to a from-scratch Build over the mutated sets.
   EngineSources up_sources;
@@ -751,8 +749,6 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   up_edge_sources.updates.knn = &w->edge_knn;
   up_edge_sources.updates.base_graph = &w->g;
   RknnEngine up_edge = RknnEngine::Create(up_edge_sources).ValueOrDie();
-  ASSERT_FALSE(up_node.hub_index_stale());
-  ASSERT_FALSE(up_edge.hub_index_stale());
 
   auto mirror_points =
       index::HubPointIndex::Build(labels, w->points).ValueOrDie();
@@ -816,10 +812,6 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
                                     evictim_w)
                     .ok());
 
-    // Nothing went dark.
-    ASSERT_FALSE(up_node.hub_index_stale());
-    ASSERT_FALSE(up_edge.hub_index_stale());
-
     // The spliced mirrors equal a from-scratch Build, bit for bit.
     ExpectHubIndexesIdentical(
         mirror_points,
@@ -851,35 +843,10 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
     EXPECT_GT(edge_batch->stats.search.label_entries, 0u);
   }
 
-  // RebuildIndex is a consistency check now: answers are unchanged.
   auto final_node_specs =
       MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/1, rng);
   auto final_edge_specs =
       MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/1, rng);
-  auto before_node = up_node.RunBatch(final_node_specs);
-  ASSERT_TRUE(before_node.ok());
-  auto before_edge = up_edge.RunBatch(final_edge_specs);
-  ASSERT_TRUE(before_edge.ok());
-  ASSERT_TRUE(up_node.RebuildIndex().ok());
-  ASSERT_TRUE(up_edge.RebuildIndex().ok());
-  ASSERT_FALSE(up_node.hub_index_stale());
-  ASSERT_FALSE(up_edge.hub_index_stale());
-  auto after_node = up_node.RunBatch(final_node_specs);
-  ASSERT_TRUE(after_node.ok());
-  for (size_t i = 0; i < final_node_specs.size(); ++i) {
-    EXPECT_EQ(after_node->results[i].results,
-              before_node->results[i].results)
-        << "node spec=" << i << " (post-rebuild)";
-  }
-  EXPECT_EQ(after_node->stats.search.hub_fallbacks, 0u);
-  auto after_edge = up_edge.RunBatch(final_edge_specs);
-  ASSERT_TRUE(after_edge.ok());
-  for (size_t i = 0; i < final_edge_specs.size(); ++i) {
-    EXPECT_EQ(after_edge->results[i].results,
-              before_edge->results[i].results)
-        << "edge spec=" << i << " (post-rebuild)";
-  }
-  EXPECT_EQ(after_edge->stats.search.hub_fallbacks, 0u);
   CheckConcurrentRunsMatchSerial(up_node, final_node_specs, seed);
   CheckConcurrentRunsMatchSerial(up_edge, final_edge_specs, seed);
 }

@@ -14,7 +14,12 @@
 #include <optional>
 #include <tuple>
 
+#include "core/durability.h"
 #include "graph/network_view.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
+#include "storage/knn_file.h"
+#include "storage/wal.h"
 #include "test_fixtures.h"
 
 namespace grnn::core {
@@ -410,11 +415,13 @@ TEST(EngineTest, QueryKindNames) {
 // Algorithm::kHubLabel: the label-backed index path (PR 5).
 
 // Node engine with a hub-label index attached (and optionally the
-// update sinks, for the staleness tests).
+// update sinks and the snapshot read path, for the update tests).
 RknnEngine HubNodeEngine(EngineWorld& w,
                          const index::LabelStore& labels,
-                         bool updatable = false) {
+                         bool updatable = false,
+                         bool snapshot_reads = false) {
   EngineSources sources;
+  sources.snapshot_reads = snapshot_reads;
   sources.graph = &*w.view;
   sources.points = &w.points;
   sources.sites = &w.sites;
@@ -500,9 +507,6 @@ TEST(EngineHubTest, HubWithoutIndexIsRejected) {
   auto r = engine.Run(
       QuerySpec::Monochromatic(Algorithm::kHubLabel, 0));
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(engine.hub_index_stale());
-  EXPECT_EQ(engine.RebuildIndex().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(EngineHubTest, CreateRejectsMismatchedLabelUniverse) {
@@ -522,7 +526,6 @@ TEST(EngineHubTest, UpdatesMaintainIndexIncrementally) {
   auto w = MakeWorld(25, 3);
   auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
   RknnEngine engine = HubNodeEngine(*w, labels, /*updatable=*/true);
-  ASSERT_FALSE(engine.hub_index_stale());
 
   auto live = w->points.LivePoints();
   const PointId qp = live[0];
@@ -547,7 +550,6 @@ TEST(EngineHubTest, UpdatesMaintainIndexIncrementally) {
   ASSERT_NE(free, kInvalidNode);
   auto ins = engine.ApplyUpdate(UpdateSpec::InsertPoint(free));
   ASSERT_TRUE(ins.ok());
-  EXPECT_FALSE(engine.hub_index_stale());
 
   auto during = engine.Run(hub_spec);
   ASSERT_TRUE(during.ok());
@@ -560,7 +562,6 @@ TEST(EngineHubTest, UpdatesMaintainIndexIncrementally) {
   // Deletes splice back out; still exact, still no fallback.
   ASSERT_TRUE(
       engine.ApplyUpdate(UpdateSpec::DeletePoint(ins->point)).ok());
-  EXPECT_FALSE(engine.hub_index_stale());
   auto deleted = engine.Run(hub_spec);
   ASSERT_TRUE(deleted.ok());
   EXPECT_EQ(deleted->stats.hub_fallbacks, 0u);
@@ -570,7 +571,6 @@ TEST(EngineHubTest, UpdatesMaintainIndexIncrementally) {
 
   // Site updates are maintained too (bichromatic shares the machinery).
   ASSERT_TRUE(engine.ApplyUpdate(UpdateSpec::InsertSite(free)).ok());
-  EXPECT_FALSE(engine.hub_index_stale());
   auto bi = engine.Run(
       QuerySpec::Bichromatic(Algorithm::kHubLabel, free, 2));
   ASSERT_TRUE(bi.ok());
@@ -579,22 +579,12 @@ TEST(EngineHubTest, UpdatesMaintainIndexIncrementally) {
       QuerySpec::Bichromatic(Algorithm::kBruteForce, free, 2));
   ASSERT_TRUE(bi_oracle.ok());
   EXPECT_EQ(Ids(*bi), Ids(*bi_oracle));
-
-  // RebuildIndex is now a consistency check, not a requirement: it
-  // must keep answers identical to the incrementally patched index.
-  ASSERT_TRUE(engine.RebuildIndex().ok());
-  EXPECT_FALSE(engine.hub_index_stale());
-  auto after = engine.Run(hub_spec);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->stats.hub_fallbacks, 0u);
-  EXPECT_EQ(after->results, deleted->results);
 }
 
 TEST(EngineHubTest, EdgeUpdatesMaintainIndexIncrementally) {
   auto w = MakeWorld(27, 3);
   auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
   RknnEngine engine = HubEdgeEngine(*w, labels, /*updatable=*/true);
-  ASSERT_FALSE(engine.hub_index_stale());
 
   auto live = w->edge_points.LivePoints();
   const QuerySpec hub_spec = QuerySpec::Unrestricted(
@@ -610,7 +600,6 @@ TEST(EngineHubTest, EdgeUpdatesMaintainIndexIncrementally) {
   auto ins = engine.ApplyUpdate(
       UpdateSpec::InsertEdgePoint(EdgePosition{e.u, e.v, e.w / 3}));
   ASSERT_TRUE(ins.ok());
-  EXPECT_FALSE(engine.hub_index_stale());
   auto during = engine.Run(hub_spec);
   ASSERT_TRUE(during.ok());
   EXPECT_EQ(during->stats.hub_fallbacks, 0u);
@@ -621,18 +610,12 @@ TEST(EngineHubTest, EdgeUpdatesMaintainIndexIncrementally) {
 
   ASSERT_TRUE(
       engine.ApplyUpdate(UpdateSpec::DeleteEdgePoint(ins->point)).ok());
-  EXPECT_FALSE(engine.hub_index_stale());
   auto deleted = engine.Run(hub_spec);
   ASSERT_TRUE(deleted.ok());
   EXPECT_EQ(deleted->stats.hub_fallbacks, 0u);
   auto deleted_oracle = engine.Run(oracle_spec);
   ASSERT_TRUE(deleted_oracle.ok());
   EXPECT_EQ(Ids(*deleted), Ids(*deleted_oracle));
-
-  ASSERT_TRUE(engine.RebuildIndex().ok());
-  auto after = engine.Run(hub_spec);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->results, deleted->results);
 }
 
 // A NaN or infinite offset lies on no edge: every algorithm rejects the
@@ -707,9 +690,8 @@ TEST(EngineHubTest, FreshPointIdsGrowWorkspaceOnlyGeometrically) {
                        << " times";
 }
 
-// LabelStore wrapper that fails Scans of one chosen node — the only
-// handle an external test has on the structural-failure staleness path
-// (a healthy engine never trips it).
+// LabelStore wrapper that fails Scans of one chosen node: the handle a
+// test has on a failing hub-index patch.
 class FailingLabelStore final : public index::LabelStore {
  public:
   explicit FailingLabelStore(const index::LabelStore* base)
@@ -730,51 +712,234 @@ class FailingLabelStore final : public index::LabelStore {
   NodeId fail_node_ = kInvalidNode;
 };
 
-TEST(EngineHubTest, StructuralPatchFailureFallsBackAndAccumulates) {
+// Runs a monochromatic and a bichromatic hub query (k = 2) at every
+// node and counts those that fail or disagree with brute force. Adds
+// the label entries the hub queries read to `*label_entries`.
+int HubMismatchesAtEveryNode(RknnEngine& engine, NodeId num_nodes,
+                             uint64_t* label_entries) {
+  int mismatches = 0;
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    for (QuerySpec spec :
+         {QuerySpec::Monochromatic(Algorithm::kHubLabel, n, 2),
+          QuerySpec::Bichromatic(Algorithm::kHubLabel, n, 2)}) {
+      auto hub = engine.Run(spec);
+      spec.algorithm = Algorithm::kBruteForce;
+      auto oracle = engine.Run(spec);
+      if (!hub.ok() || !oracle.ok() || Ids(*hub) != Ids(*oracle)) {
+        ++mismatches;
+        continue;
+      }
+      *label_entries += hub->stats.label_entries;
+    }
+  }
+  return mismatches;
+}
+
+// An update whose hub-index patch fails fails whole, in both read
+// modes: it returns the label scan's Status, the caller's set (lock
+// mode) or the published world (snapshot mode) stays as it was, and the
+// label path keeps answering exactly. Once the labels heal, the same
+// insert and delete go through.
+TEST(EngineHubTest, FailedIndexPatchFailsTheUpdate) {
+  for (bool snapshot : {false, true}) {
+    SCOPED_TRACE(snapshot ? "snapshot mode" : "lock mode");
+    auto w = MakeWorld(25, 3);
+    auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
+    FailingLabelStore flaky(&labels);
+    RknnEngine engine =
+        HubNodeEngine(*w, flaky, /*updatable=*/true, snapshot);
+
+    NodeId free = kInvalidNode;
+    for (NodeId n = 0; n < w->g.num_nodes() && free == kInvalidNode; ++n) {
+      if (!w->points.Contains(n) && !w->sites.Contains(n)) {
+        free = n;
+      }
+    }
+    ASSERT_NE(free, kInvalidNode);
+    const std::vector<PointId> live_before = w->points.LivePoints();
+    const PointId victim = live_before[0];
+    const NodeId victim_host = w->points.NodeOf(victim);
+    const uint64_t seq_before = engine.world_seq();
+
+    flaky.set_fail_node(free);
+    auto ins = engine.ApplyUpdate(UpdateSpec::InsertPoint(free));
+    EXPECT_EQ(ins.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(ins.status().message(), "injected label scan failure");
+    flaky.set_fail_node(victim_host);
+    auto del = engine.ApplyUpdate(UpdateSpec::DeletePoint(victim));
+    EXPECT_EQ(del.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(del.status().message(), "injected label scan failure");
+    flaky.set_fail_node(kInvalidNode);
+    if (snapshot) {
+      EXPECT_EQ(engine.world_seq(), seq_before);
+    } else {
+      EXPECT_EQ(w->points.LivePoints(), live_before);
+    }
+
+    uint64_t label_entries = 0;
+    EXPECT_EQ(HubMismatchesAtEveryNode(engine, w->g.num_nodes(),
+                                       &label_entries),
+              0);
+    EXPECT_GT(label_entries, 0u);
+
+    ASSERT_TRUE(engine.ApplyUpdate(UpdateSpec::InsertPoint(free)).ok());
+    ASSERT_TRUE(engine.ApplyUpdate(UpdateSpec::DeletePoint(victim)).ok());
+    EXPECT_EQ(HubMismatchesAtEveryNode(engine, w->g.num_nodes(),
+                                       &label_entries),
+              0);
+  }
+}
+
+// KnnStore over a MemoryKnnStore whose CommitUpdate fails once armed,
+// as a durable store's does when its WAL flush fails.
+class FailingCommitStore final : public KnnStore {
+ public:
+  explicit FailingCommitStore(MemoryKnnStore base) : base_(std::move(base)) {}
+  uint32_t k() const override { return base_.k(); }
+  NodeId num_nodes() const override { return base_.num_nodes(); }
+  Status Read(NodeId n, std::vector<NnEntry>* out) const override {
+    return base_.Read(n, out);
+  }
+  Status Write(NodeId n, const std::vector<NnEntry>& entries) override {
+    return base_.Write(n, entries);
+  }
+  Status CommitUpdate(UpdateStats*) override {
+    return fail_ ? Status::IOError("injected commit failure")
+                 : Status::OK();
+  }
+  void set_fail(bool fail) { fail_ = fail; }
+
+ private:
+  MemoryKnnStore base_;
+  bool fail_ = false;
+};
+
+// A lock-mode delete whose store commit fails has already taken the
+// point out of the set (see the ApplyUpdate contract). The hub index
+// must lose it with the set, or hub queries keep naming it.
+TEST(EngineHubTest, FailedDeleteCommitKeepsIndexEqualToSet) {
+  auto w = MakeWorld(25, 3);
+  auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
+  FailingCommitStore store(w->knn);
+  EngineSources sources;
+  sources.graph = &*w->view;
+  sources.points = &w->points;
+  sources.knn = &store;
+  sources.hub_labels = &labels;
+  sources.updates.points = &w->points;
+  sources.updates.knn = &store;
+  RknnEngine engine = RknnEngine::Create(sources).ValueOrDie();
+
+  const PointId victim = w->points.LivePoints()[0];
+  store.set_fail(true);
+  auto del = engine.ApplyUpdate(UpdateSpec::DeletePoint(victim));
+  EXPECT_TRUE(del.status().IsIOError()) << del.status().ToString();
+  ASSERT_EQ(w->points.NodeOf(victim), kInvalidNode);
+
+  for (NodeId n = 0; n < w->g.num_nodes(); ++n) {
+    auto hub =
+        engine.Run(QuerySpec::Monochromatic(Algorithm::kHubLabel, n, 2));
+    auto oracle =
+        engine.Run(QuerySpec::Monochromatic(Algorithm::kBruteForce, n, 2));
+    ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_EQ(Ids(*hub), Ids(*oracle)) << "node " << n;
+    const std::vector<PointId> ids = Ids(*hub);
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), victim), 0)
+        << "node " << n << " names the deleted point";
+  }
+}
+
+// A DurableKnnStore on in-memory devices whose KnnFile starts out
+// holding `seed`'s lists.
+struct MemoryDurableStore {
+  explicit MemoryDurableStore(const MemoryKnnStore& seed) {
+    file.emplace(
+        storage::KnnFile::Create(&data, seed.num_nodes(), seed.k())
+            .ValueOrDie());
+    wal.emplace(storage::Wal::Create(&log).ValueOrDie());
+    pool.emplace(&data, /*capacity_pages=*/16);
+    pool->AttachWal(&*wal);
+    std::vector<NnEntry> list;
+    for (NodeId n = 0; n < seed.num_nodes(); ++n) {
+      EXPECT_TRUE(seed.Read(n, &list).ok());
+      EXPECT_TRUE(file->Write(&*pool, n, list).ok());
+    }
+    store.emplace(&*file, &*pool, &*wal, /*store_id=*/1);
+  }
+  storage::MemoryDiskManager data;
+  storage::MemoryDiskManager log;
+  std::optional<storage::KnnFile> file;
+  std::optional<storage::Wal> wal;
+  std::optional<storage::BufferPool> pool;
+  std::optional<DurableKnnStore> store;
+};
+
+// Rolling back an insert burns its point id (sets never reuse one), so
+// the log of a durable store no longer reproduces the in-memory ids and
+// the store must refuse further updates until recovered. An insert
+// whose hub-index patch fails is rolled back too, so it must reach the
+// store as an aborted update, for node and for edge points alike.
+TEST(EngineHubTest, FailedInsertPatchAbortsTheDurableUpdate) {
   auto w = MakeWorld(25, 3);
   auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
   FailingLabelStore flaky(&labels);
-  RknnEngine engine = HubNodeEngine(*w, flaky, /*updatable=*/true);
-  ASSERT_FALSE(engine.hub_index_stale());
 
-  NodeId free = kInvalidNode;
-  for (NodeId n = 0; n < w->g.num_nodes(); ++n) {
-    if (!w->points.Contains(n) && !w->sites.Contains(n)) {
-      free = n;
-      break;
+  {
+    SCOPED_TRACE("node points");
+    MemoryDurableStore durable(w->knn);
+    EngineSources sources;
+    sources.graph = &*w->view;
+    sources.points = &w->points;
+    sources.knn = &*durable.store;
+    sources.hub_labels = &flaky;
+    sources.updates.points = &w->points;
+    sources.updates.knn = &*durable.store;
+    RknnEngine engine = RknnEngine::Create(sources).ValueOrDie();
+    NodeId free = kInvalidNode;
+    for (NodeId n = 0; n < w->g.num_nodes() && free == kInvalidNode; ++n) {
+      if (!w->points.Contains(n)) {
+        free = n;
+      }
     }
-  }
-  ASSERT_NE(free, kInvalidNode);
-  // The update itself succeeds; the incremental patch cannot scan the
-  // new point's label, so the index goes (rarely, structurally) stale.
-  flaky.set_fail_node(free);
-  ASSERT_TRUE(engine.ApplyUpdate(UpdateSpec::InsertPoint(free)).ok());
-  EXPECT_TRUE(engine.hub_index_stale());
+    ASSERT_NE(free, kInvalidNode);
+    const std::vector<PointId> live_before = w->points.LivePoints();
 
-  // While stale, every hub query falls back — and the counter
-  // ACCUMULATES across a batch (one increment per falling-back query).
-  std::vector<QuerySpec> specs{
-      QuerySpec::Monochromatic(Algorithm::kHubLabel, 0, 2),
-      QuerySpec::Monochromatic(Algorithm::kHubLabel, 1, 2),
-      QuerySpec::Bichromatic(Algorithm::kHubLabel, 2, 2)};
-  auto batch = engine.RunBatch(specs);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->stats.search.hub_fallbacks, specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    QuerySpec oracle_spec = specs[i];
-    oracle_spec.algorithm = Algorithm::kBruteForce;
-    auto oracle = engine.Run(oracle_spec);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_EQ(Ids(batch->results[i]), Ids(*oracle)) << "spec=" << i;
+    flaky.set_fail_node(free);
+    auto ins = engine.ApplyUpdate(UpdateSpec::InsertPoint(free));
+    EXPECT_EQ(ins.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(w->points.LivePoints(), live_before);
+    EXPECT_TRUE(durable.store->poisoned());
+    EXPECT_EQ(durable.store->last_commit_lsn(), 0u);
+    flaky.set_fail_node(kInvalidNode);
+    EXPECT_EQ(engine.ApplyUpdate(UpdateSpec::InsertPoint(free))
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition);
   }
+  {
+    SCOPED_TRACE("edge points");
+    MemoryDurableStore durable(w->edge_knn);
+    EngineSources sources;
+    sources.graph = &*w->view;
+    sources.edge_points = &w->edge_points;
+    sources.knn = &*durable.store;
+    sources.hub_labels = &flaky;
+    sources.updates.edge_points = &w->edge_points;
+    sources.updates.knn = &*durable.store;
+    sources.updates.base_graph = &w->g;
+    RknnEngine engine = RknnEngine::Create(sources).ValueOrDie();
+    const Edge e = w->g.CollectEdges()[0];
+    const std::vector<PointId> live_before = w->edge_points.LivePoints();
 
-  // Heal the store; RebuildIndex restores the label path.
-  flaky.set_fail_node(kInvalidNode);
-  ASSERT_TRUE(engine.RebuildIndex().ok());
-  EXPECT_FALSE(engine.hub_index_stale());
-  auto after = engine.RunBatch(specs);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->stats.search.hub_fallbacks, 0u);
+    flaky.set_fail_node(e.u);
+    auto ins = engine.ApplyUpdate(
+        UpdateSpec::InsertEdgePoint(EdgePosition{e.u, e.v, e.w / 3}));
+    EXPECT_EQ(ins.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(w->edge_points.LivePoints(), live_before);
+    EXPECT_TRUE(durable.store->poisoned());
+    EXPECT_EQ(durable.store->last_commit_lsn(), 0u);
+  }
 }
 
 TEST(EngineHubTest, ParseAndNamesIncludeHub) {

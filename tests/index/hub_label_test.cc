@@ -403,8 +403,8 @@ TEST(HubPointIndex, EraseOfUnknownOccurrenceReportsInternal) {
   auto points = RandomPoints(g.num_nodes(), 4, rng);
   auto occ = HubPointIndex::Build(labels, points).ValueOrDie();
   // A point that was never indexed has no occurrence entries — the
-  // erase must fail structurally (the engine's hub_stale signal), not
-  // silently corrupt the runs.
+  // erase must fail (and with it the engine's update), not silently
+  // corrupt the runs.
   EXPECT_EQ(occ.ErasePoint(labels, 1000, 0).code(),
             StatusCode::kInternal);
   const Edge e = g.CollectEdges().front();

@@ -1,6 +1,6 @@
 // serve::Scheduler policy suite: admission/overload shedding, deadline
 // expiry, batch-failure attribution, shutdown draining — plus the
-// LatencyHistogram the closed-loop benches read percentiles from.
+// obs::Histogram the scheduler records its latency percentiles in.
 //
 // The tests pin the single worker inside SchedulerOptions::batch_hook
 // (a gate it waits on after forming a batch) to build queue states
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -25,29 +26,29 @@ namespace {
 using core::Algorithm;
 using core::QuerySpec;
 
-// --- LatencyHistogram ---
+// --- obs::Histogram (the scheduler's latency histogram) ---
 
-TEST(LatencyHistogramTest, EmptyReportsZero) {
-  LatencyHistogram h;
+TEST(HistogramTest, EmptyReportsZero) {
+  obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Percentile(50), 0u);
   EXPECT_EQ(h.Percentile(100), 0u);
 }
 
-TEST(LatencyHistogramTest, SmallValuesAreExact) {
-  LatencyHistogram h;
-  for (uint64_t v = 0; v < LatencyHistogram::kSubBuckets; ++v) {
+TEST(HistogramTest, SmallValuesAreExact) {
+  obs::Histogram h;
+  for (uint64_t v = 0; v < obs::Histogram::kSubBuckets; ++v) {
     h.Record(v);
   }
-  EXPECT_EQ(h.count(), LatencyHistogram::kSubBuckets);
+  EXPECT_EQ(h.count(), obs::Histogram::kSubBuckets);
   EXPECT_EQ(h.Percentile(0), 0u);
-  EXPECT_EQ(h.Percentile(100), LatencyHistogram::kSubBuckets - 1);
+  EXPECT_EQ(h.Percentile(100), obs::Histogram::kSubBuckets - 1);
   // Below 2^kSubBits every value gets its own bucket: quantiles exact.
-  EXPECT_EQ(h.Percentile(50), LatencyHistogram::kSubBuckets / 2 - 1);
+  EXPECT_EQ(h.Percentile(50), obs::Histogram::kSubBuckets / 2 - 1);
 }
 
-TEST(LatencyHistogramTest, QuantileErrorIsBounded) {
-  LatencyHistogram h;
+TEST(HistogramTest, QuantileErrorIsBounded) {
+  obs::Histogram h;
   const std::vector<uint64_t> samples = {100,    777,     3052,
                                          40000,  1234567, 89,
                                          650000, 31,      4096};
@@ -66,15 +67,15 @@ TEST(LatencyHistogramTest, QuantileErrorIsBounded) {
     EXPECT_GE(got, want);
     // Log-linear bound: bucket width is at most 1/kSubBuckets of the
     // value's magnitude.
-    EXPECT_LE(got, want + want / LatencyHistogram::kSubBuckets + 1)
+    EXPECT_LE(got, want + want / obs::Histogram::kSubBuckets + 1)
         << "p=" << p;
   }
   // The top percentile is clamped to the true max, not a bucket edge.
   EXPECT_EQ(h.Percentile(100), 1234567u);
 }
 
-TEST(LatencyHistogramTest, PercentilesAreMonotone) {
-  LatencyHistogram h;
+TEST(HistogramTest, PercentilesAreMonotone) {
+  obs::Histogram h;
   uint64_t x = 12345;
   for (int i = 0; i < 500; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -88,9 +89,9 @@ TEST(LatencyHistogramTest, PercentilesAreMonotone) {
   }
 }
 
-TEST(LatencyHistogramTest, MergeCombinesCountsAndMax) {
-  LatencyHistogram a;
-  LatencyHistogram b;
+TEST(HistogramTest, MergeCombinesCountsAndMax) {
+  obs::Histogram a;
+  obs::Histogram b;
   a.Record(10);
   a.Record(1000);
   b.Record(500000);
@@ -99,7 +100,7 @@ TEST(LatencyHistogramTest, MergeCombinesCountsAndMax) {
   EXPECT_EQ(a.Percentile(100), 500000u);
   EXPECT_EQ(a.Percentile(1), 10u);
   // Merging an empty histogram is a no-op.
-  LatencyHistogram empty;
+  obs::Histogram empty;
   a.Merge(empty);
   EXPECT_EQ(a.count(), 3u);
 }
@@ -288,6 +289,29 @@ TEST(SchedulerTest, ExpiredDeadlinesCompleteUnrun) {
   const Scheduler::Stats s = sched.stats();
   EXPECT_EQ(s.expired, 1u);
   EXPECT_EQ(s.completed, 1u);
+}
+
+// A deadline beyond the clock's range is no deadline. It must neither
+// wrap (UINT64_MAX as a signed count is -1 us) nor overflow the
+// conversion to the clock's nanoseconds (from ~9.2e15 us up), either of
+// which expired the request before it ran.
+TEST(SchedulerTest, HugeDeadlinesNeverExpire) {
+  ServeWorld w = ServeWorld::Make();
+  SchedulerOptions opts;
+  opts.num_workers = 1;
+  Scheduler sched(&w.engine, opts);
+  for (uint64_t deadline :
+       {std::numeric_limits<uint64_t>::max(),
+        static_cast<uint64_t>(std::numeric_limits<int64_t>::max()),
+        uint64_t{10'000'000'000'000'000}}) {
+    Scheduler::Ticket t = sched.Submit(w.Spec(0), deadline);
+    const Scheduler::Response& r = t.Wait();
+    EXPECT_EQ(r.disposition, Disposition::kRun) << "deadline=" << deadline;
+    EXPECT_TRUE(r.result.ok()) << r.result.status().ToString();
+  }
+  const Scheduler::Stats s = sched.stats();
+  EXPECT_EQ(s.expired, 0u);
+  EXPECT_EQ(s.completed, 3u);
 }
 
 // A failing spec inside a batch must not poison its batchmates:
