@@ -1,9 +1,7 @@
 #include "core/bichromatic.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "common/indexed_heap.h"
 #include "common/numeric.h"
 #include "core/primitives.h"
 #include "core/workspace.h"
@@ -12,30 +10,6 @@
 namespace grnn::core {
 
 namespace {
-
-Status Validate(const graph::NetworkView& g,
-                std::span<const NodeId> query_nodes,
-                const RknnOptions& options) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (query_nodes.empty()) {
-    return Status::InvalidArgument("query node set is empty");
-  }
-  for (NodeId q : query_nodes) {
-    if (q >= g.num_nodes()) {
-      return Status::OutOfRange("query node out of range");
-    }
-  }
-  return Status::OK();
-}
-
-void SortResults(RknnResult& r) {
-  std::sort(r.results.begin(), r.results.end(),
-            [](const PointMatch& a, const PointMatch& b) {
-              return a.point < b.point;
-            });
-}
 
 // Shared expansion: qualifies nodes by "q is among the k nearest sites",
 // where `count_closer_sites(n, d)` returns the number of sites strictly
@@ -52,15 +26,9 @@ Result<RknnResult> QualifyNodes(const graph::NetworkView& g,
   RknnResult out;
 
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
+  ws.StartExpansion(g.num_nodes());
   for (NodeId q : query_nodes) {
-    if (!ws.best.Has(q)) {
-      ws.best.Set(q, 0.0);
-      heap.Push(0.0, q);
-      out.stats.heap_pushes++;
-    }
+    ws.Seed(q, 0.0, out.stats);
   }
 
   while (!heap.empty()) {
@@ -86,17 +54,10 @@ Result<RknnResult> QualifyNodes(const graph::NetworkView& g,
 
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(node, ws.nbr_cursor));
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!ws.visited.Contains(a.node) && nd < ws.best.Get(a.node)) {
-        ws.best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
 
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 
@@ -108,7 +69,8 @@ Result<RknnResult> BichromaticRknn(const graph::NetworkView& g,
                                    std::span<const NodeId> query_nodes,
                                    const RknnOptions& options,
                                    SearchWorkspace& ws) {
-  GRNN_RETURN_NOT_OK(Validate(g, query_nodes, options));
+  GRNN_RETURN_NOT_OK(
+      ValidateQueryNodes(g.num_nodes(), query_nodes, options.k));
   ws.searcher.Bind(&g, &sites);
   return QualifyNodes(
       g, data_points, query_nodes, options, ws,
@@ -129,29 +91,23 @@ Result<RknnResult> BichromaticLazyRknn(const graph::NetworkView& g,
                                        std::span<const NodeId> query_nodes,
                                        const RknnOptions& options,
                                        SearchWorkspace& ws) {
-  GRNN_RETURN_NOT_OK(Validate(g, query_nodes, options));
+  GRNN_RETURN_NOT_OK(
+      ValidateQueryNodes(g.num_nodes(), query_nodes, options.k));
   const size_t k = static_cast<size_t>(options.k);
   ws.searcher.Bind(&g, &sites);
 
   RknnResult out;
 
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
+  ws.StartExpansion(g.num_nodes());
   for (NodeId q : query_nodes) {
-    if (!ws.best.Has(q)) {
-      ws.best.Set(q, 0.0);
-      heap.Push(0.0, q);
-      out.stats.heap_pushes++;
-    }
+    ws.Seed(q, 0.0, out.stats);
   }
 
   // H' over discovered sites: per node, the k nearest discovered-site
   // distances (exactly the lazy-EP machinery with Q as the point set).
-  auto& ep_heap = ws.ep_heap;
-  ep_heap.clear();
-  std::unordered_map<NodeId, DiscoveredList> discovered;
+  DiscoveredExpansion discovered(g, k, ws.ep_heap, ws.aux_nbr_cursor,
+                                 out.stats);
 
   auto& known_sites = ws.seen_points;
   known_sites.clear();
@@ -159,29 +115,8 @@ Result<RknnResult> BichromaticLazyRknn(const graph::NetworkView& g,
   auto feed_site = [&](NodeId host, PointId s) {
     if (s != kInvalidPoint && s != options.exclude_point &&
         known_sites.insert(s).second) {
-      ep_heap.Push(0.0, {host, s});
-      out.stats.heap_pushes++;
+      discovered.Add(host, s, 0.0);
     }
-  };
-
-  auto drain_ep = [&](Weight frontier) -> Status {
-    while (!ep_heap.empty() && ep_heap.top_key() < frontier) {
-      auto [d, entry] = ep_heap.Pop();
-      auto [node, site] = entry;
-      DiscoveredList& list = discovered[node];
-      if (list.ContainsPoint(site) || list.SaturatedAt(d, k)) {
-        continue;
-      }
-      list.Insert(d, site, k);
-      out.stats.nodes_scanned++;
-      GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> drain_nbrs,
-                            g.Scan(node, ws.aux_nbr_cursor));
-      for (const AdjEntry& a : drain_nbrs) {
-        ep_heap.Push(d + a.weight, {a.node, site});
-        out.stats.heap_pushes++;
-      }
-    }
-    return Status::OK();
   };
 
   while (!heap.empty()) {
@@ -190,13 +125,12 @@ Result<RknnResult> BichromaticLazyRknn(const graph::NetworkView& g,
       continue;
     }
     ws.visited.Insert(node);
-    GRNN_RETURN_NOT_OK(drain_ep(dist));
+    GRNN_RETURN_NOT_OK(discovered.DrainBelow(dist));
 
     // Lemma 1 over Q with discovered-site distances: k sites strictly
     // closer than the query both disqualify this node and block every
     // path through it.
-    auto it = discovered.find(node);
-    if (it != discovered.end() && it->second.CountBelow(dist) >= k) {
+    if (discovered.Prunes(node, dist)) {
       out.stats.nodes_pruned++;
       continue;
     }
@@ -205,9 +139,8 @@ Result<RknnResult> BichromaticLazyRknn(const graph::NetworkView& g,
 
     // A site hosted here starts pruning through H'.
     feed_site(node, sites.PointAt(node));
-    GRNN_RETURN_NOT_OK(drain_ep(dist));
-    it = discovered.find(node);
-    if (it != discovered.end() && it->second.CountBelow(dist) >= k) {
+    GRNN_RETURN_NOT_OK(discovered.DrainBelow(dist));
+    if (discovered.Prunes(node, dist)) {
       // The site just fed (or a drained one) disqualified it; this is
       // still a Lemma 1 cut.
       out.stats.nodes_pruned++;
@@ -237,17 +170,10 @@ Result<RknnResult> BichromaticLazyRknn(const graph::NetworkView& g,
 
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(node, ws.nbr_cursor));
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!ws.visited.Contains(a.node) && nd < ws.best.Get(a.node)) {
-        ws.best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
 
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 
@@ -256,7 +182,8 @@ Result<RknnResult> BichromaticRknnMaterialized(
     const NodePointSet& sites, const KnnStore* site_knn,
     std::span<const NodeId> query_nodes, const RknnOptions& options,
     SearchWorkspace& ws) {
-  GRNN_RETURN_NOT_OK(Validate(g, query_nodes, options));
+  GRNN_RETURN_NOT_OK(
+      ValidateQueryNodes(g.num_nodes(), query_nodes, options.k));
   if (site_knn == nullptr) {
     return Status::InvalidArgument("site KNN store is null");
   }
@@ -285,7 +212,8 @@ Result<RknnResult> BruteForceBichromaticRknn(
     const graph::NetworkView& g, const NodePointSet& data_points,
     const NodePointSet& sites, std::span<const NodeId> query_nodes,
     const RknnOptions& options) {
-  GRNN_RETURN_NOT_OK(Validate(g, query_nodes, options));
+  GRNN_RETURN_NOT_OK(
+      ValidateQueryNodes(g.num_nodes(), query_nodes, options.k));
   RknnResult out;
   // One scratch + distance buffer reused across the per-point
   // expansions: the oracle's cost is the expansions, not allocation.
@@ -315,7 +243,7 @@ Result<RknnResult> BruteForceBichromaticRknn(
       out.results.push_back(PointMatch{p, home, d_query});
     }
   }
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 

@@ -1,41 +1,18 @@
 #include "core/eager.h"
 
-#include <algorithm>
-
-#include "common/indexed_heap.h"
 #include "core/primitives.h"
 #include "core/workspace.h"
 #include "obs/trace.h"
 
 namespace grnn::core {
 
-namespace {
-
-Status ValidateQuery(const graph::NetworkView& g,
-                     std::span<const NodeId> query_nodes,
-                     const RknnOptions& options) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (query_nodes.empty()) {
-    return Status::InvalidArgument("query node set is empty");
-  }
-  for (NodeId q : query_nodes) {
-    if (q >= g.num_nodes()) {
-      return Status::OutOfRange("query node out of range");
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<RknnResult> EagerRknn(const graph::NetworkView& g,
                              const NodePointSet& points,
                              std::span<const NodeId> query_nodes,
                              const RknnOptions& options,
                              SearchWorkspace& ws) {
-  GRNN_RETURN_NOT_OK(ValidateQuery(g, query_nodes, options));
+  GRNN_RETURN_NOT_OK(ValidateQueryNodes(g.num_nodes(), query_nodes,
+                                        options.k));
   // Armed-trace child span (obs/trace.h): the whole eager expansion;
   // one nullptr branch when the query is not sampled — the hot path
   // the <2% disarmed-overhead guard measures.
@@ -47,15 +24,9 @@ Result<RknnResult> EagerRknn(const graph::NetworkView& g,
   RknnResult out;
 
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
+  ws.StartExpansion(g.num_nodes());
   for (NodeId q : query_nodes) {
-    if (!ws.best.Has(q)) {
-      ws.best.Set(q, 0.0);
-      heap.Push(0.0, q);
-      out.stats.heap_pushes++;
-    }
+    ws.Seed(q, 0.0, out.stats);
   }
 
   auto& verified = ws.seen_points;
@@ -115,20 +86,10 @@ Result<RknnResult> EagerRknn(const graph::NetworkView& g,
 
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(node, ws.nbr_cursor));
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!ws.visited.Contains(a.node) && nd < ws.best.Get(a.node)) {
-        ws.best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
 
-  std::sort(out.results.begin(), out.results.end(),
-            [](const PointMatch& a, const PointMatch& b) {
-              return a.point < b.point;
-            });
+  SortByPoint(out);
   return out;
 }
 

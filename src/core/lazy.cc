@@ -14,44 +14,13 @@ namespace {
 
 using Heap = IndexedHeap<Weight, NodeId>;
 
-// Keeps the k smallest values, ascending.
-class CappedSortedVec {
- public:
-  explicit CappedSortedVec(size_t cap) : cap_(cap) {}
-
-  void Insert(Weight w) {
-    if (values_.size() == cap_ && w >= values_.back()) {
-      return;
-    }
-    values_.insert(std::upper_bound(values_.begin(), values_.end(), w), w);
-    if (values_.size() > cap_) {
-      values_.pop_back();
-    }
-  }
-
-  // Number of stored values strictly (mod fp noise) below `bound`.
-  // Because only the k smallest are kept, a return value of k means
-  // "at least k overall".
-  size_t CountBelow(Weight bound) const {
-    size_t n = 0;
-    for (Weight v : values_) {
-      n += DistLess(v, bound);
-    }
-    return n;
-  }
-
- private:
-  size_t cap_;
-  std::vector<Weight> values_;
-};
-
 // Per-node bookkeeping: the paper's in-memory hash table (Fig 6) extended
 // with the RkNN counters of Fig 7.
 struct NodeBook {
   explicit NodeBook(size_t k) : competitor_dists(k) {}
 
   // Distances from verified data points to this node (k smallest).
-  CappedSortedVec competitor_dists;
+  KSmallest competitor_dists;
   bool visited = false;
   bool children_erased = false;
   Weight dist_q = kInfinity;          // d(query, node), set when visited
@@ -68,7 +37,7 @@ class LazyState {
             std::span<const NodeId> query_nodes, const RknnOptions& options,
             SearchWorkspace& ws)
       : g_(g), points_(points), options_(options), ws_(ws) {
-    ws_.node_heap.clear();
+    ws_.StartExpansion(g.num_nodes());
     ws_.mark.Reset(g.num_nodes());
     ws_.seen_points.clear();
     for (NodeId q : query_nodes) {
@@ -193,20 +162,10 @@ Result<RknnResult> LazyState::Run(std::span<const NodeId> query_nodes) {
   const size_t k = static_cast<size_t>(options_.k);
   auto& heap = ws_.node_heap;
 
-  // Seed each distinct query node once (routes are short; a linear
-  // prefix scan avoids a per-query hash set).
-  for (size_t i = 0; i < query_nodes.size(); ++i) {
-    bool duplicate = false;
-    for (size_t j = 0; j < i; ++j) {
-      if (query_nodes[j] == query_nodes[i]) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      heap.Push(0.0, query_nodes[i]);
-      out_.stats.heap_pushes++;
-    }
+  // Seed each distinct query node once. Only the seeds go through the
+  // workspace's best distances; the book decides every later push.
+  for (NodeId q : query_nodes) {
+    ws_.Seed(q, 0.0, out_.stats);
   }
 
   while (!heap.empty()) {
@@ -257,10 +216,7 @@ Result<RknnResult> LazyState::Run(std::span<const NodeId> query_nodes) {
     }
   }
 
-  std::sort(out_.results.begin(), out_.results.end(),
-            [](const PointMatch& a, const PointMatch& b) {
-              return a.point < b.point;
-            });
+  SortByPoint(out_);
   return std::move(out_);
 }
 
@@ -271,17 +227,8 @@ Result<RknnResult> LazyRknn(const graph::NetworkView& g,
                             std::span<const NodeId> query_nodes,
                             const RknnOptions& options,
                             SearchWorkspace& ws) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (query_nodes.empty()) {
-    return Status::InvalidArgument("query node set is empty");
-  }
-  for (NodeId q : query_nodes) {
-    if (q >= g.num_nodes()) {
-      return Status::OutOfRange("query node out of range");
-    }
-  }
+  GRNN_RETURN_NOT_OK(ValidateQueryNodes(g.num_nodes(), query_nodes,
+                                        options.k));
   // Armed-trace child span (obs/trace.h): the whole lazy expansion.
   obs::ScopedSpan span(obs::CurrentTrace(), "lazy.expand");
   LazyState state(g, points, query_nodes, options, ws);

@@ -1,10 +1,5 @@
 #include "core/lazy_ep.h"
 
-#include <algorithm>
-#include <unordered_map>
-
-#include "common/indexed_heap.h"
-#include "common/numeric.h"
 #include "core/primitives.h"
 #include "core/workspace.h"
 
@@ -15,17 +10,8 @@ Result<RknnResult> LazyEpRknn(const graph::NetworkView& g,
                               std::span<const NodeId> query_nodes,
                               const RknnOptions& options,
                               SearchWorkspace& ws) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (query_nodes.empty()) {
-    return Status::InvalidArgument("query node set is empty");
-  }
-  for (NodeId q : query_nodes) {
-    if (q >= g.num_nodes()) {
-      return Status::OutOfRange("query node out of range");
-    }
-  }
+  GRNN_RETURN_NOT_OK(ValidateQueryNodes(g.num_nodes(), query_nodes,
+                                        options.k));
   // Armed-trace child span (obs/trace.h): the whole lazy-EP expansion.
   obs::ScopedSpan span(obs::CurrentTrace(), "lazyep.expand");
   const size_t k = static_cast<size_t>(options.k);
@@ -36,48 +22,17 @@ Result<RknnResult> LazyEpRknn(const graph::NetworkView& g,
 
   // Main expansion H around the query.
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
+  ws.StartExpansion(g.num_nodes());
   for (NodeId q : query_nodes) {
-    if (!ws.best.Has(q)) {
-      ws.best.Set(q, 0.0);
-      heap.Push(0.0, q);
-      out.stats.heap_pushes++;
-    }
+    ws.Seed(q, 0.0, out.stats);
   }
 
   // Parallel expansion H' around discovered points.
-  auto& ep_heap = ws.ep_heap;
-  ep_heap.clear();
-  std::unordered_map<NodeId, DiscoveredList> discovered;
+  DiscoveredExpansion discovered(g, k, ws.ep_heap, ws.aux_nbr_cursor,
+                                 out.stats);
 
   auto& found_points = ws.seen_points;
   found_points.clear();
-
-  // Advances H' while its top entry is below `frontier` (the last distance
-  // deheaped from H), marking nodes with discovered-point distances.
-  auto drain_ep = [&](Weight frontier) -> Status {
-    while (!ep_heap.empty() && ep_heap.top_key() < frontier) {
-      auto [dist, entry] = ep_heap.Pop();
-      auto [node, point] = entry;
-      DiscoveredList& list = discovered[node];
-      if (list.ContainsPoint(point) || list.SaturatedAt(dist, k)) {
-        continue;  // already known, or k closer points already recorded
-      }
-      list.Insert(dist, point, k);
-      out.stats.nodes_scanned++;
-      // Own cursor: the main loop's span must survive a mid-iteration
-      // drain.
-      GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> drain_nbrs,
-                            g.Scan(node, ws.aux_nbr_cursor));
-      for (const AdjEntry& a : drain_nbrs) {
-        ep_heap.Push(dist + a.weight, {a.node, point});
-        out.stats.heap_pushes++;
-      }
-    }
-    return Status::OK();
-  };
 
   while (!heap.empty()) {
     auto [dist, node] = heap.Pop();
@@ -87,12 +42,11 @@ Result<RknnResult> LazyEpRknn(const graph::NetworkView& g,
     ws.visited.Insert(node);
 
     // Let H' catch up to this frontier before deciding about `node`.
-    GRNN_RETURN_NOT_OK(drain_ep(dist));
+    GRNN_RETURN_NOT_OK(discovered.DrainBelow(dist));
 
     // Extended pruning: k discovered points strictly closer than the
     // query (Lemma 1 applied with materialized-by-expansion distances).
-    auto it = discovered.find(node);
-    if (it != discovered.end() && it->second.CountBelow(dist) >= k) {
+    if (discovered.Prunes(node, dist)) {
       out.stats.nodes_pruned++;
       continue;
     }
@@ -111,35 +65,23 @@ Result<RknnResult> LazyEpRknn(const graph::NetworkView& g,
         out.results.push_back(PointMatch{p, node, outcome.dist_to_query});
       }
       // ... and the point starts pruning through H' regardless.
-      ep_heap.Push(0.0, {node, p});
-      out.stats.heap_pushes++;
+      discovered.Add(node, p, 0.0);
     }
 
     // Re-drain so the point just inserted can prune this node's own
     // expansion (e.g. k=1: a node hosting a point never expands further;
     // its own H' entry at distance 0 marks it immediately).
-    GRNN_RETURN_NOT_OK(drain_ep(dist));
-    it = discovered.find(node);
-    if (it != discovered.end() && it->second.CountBelow(dist) >= k) {
+    GRNN_RETURN_NOT_OK(discovered.DrainBelow(dist));
+    if (discovered.Prunes(node, dist)) {
       continue;
     }
 
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(node, ws.nbr_cursor));
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!ws.visited.Contains(a.node) && nd < ws.best.Get(a.node)) {
-        ws.best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
 
-  std::sort(out.results.begin(), out.results.end(),
-            [](const PointMatch& a, const PointMatch& b) {
-              return a.point < b.point;
-            });
+  SortByPoint(out);
   return out;
 }
 

@@ -393,25 +393,18 @@ Result<RknnResult> EagerMRknn(const graph::NetworkView& g,
   if (store == nullptr) {
     return Status::InvalidArgument("store is null");
   }
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  // Armed-trace child span (obs/trace.h): the whole eager-M expansion;
-  // one nullptr branch when the query is not sampled.
-  obs::ScopedSpan span(obs::CurrentTrace(), "eagerm.expand");
-  if (static_cast<uint32_t>(options.k) > store->k()) {
+  // k against the store's K before the nodes (a positive k only: k <= 0
+  // is the node validation's InvalidArgument).
+  if (options.k > 0 && static_cast<uint32_t>(options.k) > store->k()) {
     return Status::InvalidArgument(
         StrPrintf("query k=%d exceeds materialized K=%u", options.k,
                   store->k()));
   }
-  if (query_nodes.empty()) {
-    return Status::InvalidArgument("query node set is empty");
-  }
-  for (NodeId q : query_nodes) {
-    if (q >= g.num_nodes()) {
-      return Status::OutOfRange("query node out of range");
-    }
-  }
+  GRNN_RETURN_NOT_OK(ValidateQueryNodes(g.num_nodes(), query_nodes,
+                                        options.k));
+  // Armed-trace child span (obs/trace.h): the whole eager-M expansion;
+  // one nullptr branch when the query is not sampled.
+  obs::ScopedSpan span(obs::CurrentTrace(), "eagerm.expand");
   const size_t k = static_cast<size_t>(options.k);
   ws.query_nodes.assign(query_nodes.begin(), query_nodes.end());
   ws.searcher.Bind(&g, &points);
@@ -419,22 +412,15 @@ Result<RknnResult> EagerMRknn(const graph::NetworkView& g,
   RknnResult out;
 
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
+  ws.StartExpansion(g.num_nodes());
   for (NodeId q : query_nodes) {
-    if (!ws.best.Has(q)) {
-      ws.best.Set(q, 0.0);
-      heap.Push(0.0, q);
-      out.stats.heap_pushes++;
-    }
+    ws.Seed(q, 0.0, out.stats);
   }
 
   auto& verified = ws.seen_points;
   verified.clear();
   auto& list = ws.knn_list;
   auto& cand_list = ws.aux_knn_list;
-  auto& best = ws.best;
   auto& visited = ws.visited;
 
   while (!heap.empty()) {
@@ -527,20 +513,10 @@ Result<RknnResult> EagerMRknn(const graph::NetworkView& g,
 
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(node, ws.nbr_cursor));
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!visited.Contains(a.node) && nd < best.Get(a.node)) {
-        best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
 
-  std::sort(out.results.begin(), out.results.end(),
-            [](const PointMatch& a, const PointMatch& b) {
-              return a.point < b.point;
-            });
+  SortByPoint(out);
   return out;
 }
 

@@ -7,19 +7,54 @@
 
 namespace grnn::core {
 
+Status ValidateQueryNodes(NodeId num_nodes, std::span<const NodeId> nodes,
+                          int k) {
+  if (k <= 0) {
+    return Status::InvalidArgument("k must be positive");
+  }
+  if (nodes.empty()) {
+    return Status::InvalidArgument("query node set is empty");
+  }
+  for (NodeId q : nodes) {
+    if (q >= num_nodes) {
+      return Status::OutOfRange("query node out of range");
+    }
+  }
+  return Status::OK();
+}
+
+void SortByPoint(RknnResult& result) {
+  std::sort(result.results.begin(), result.results.end(),
+            [](const PointMatch& a, const PointMatch& b) {
+              return a.point < b.point;
+            });
+}
+
+Status DiscoveredExpansion::DrainBelow(Weight frontier) {
+  while (!heap_.empty() && heap_.top_key() < frontier) {
+    auto [dist, entry] = heap_.Pop();
+    auto [node, point] = entry;
+    DiscoveredList& list = lists_[node];
+    if (list.ContainsPoint(point) || list.SaturatedAt(dist, k_)) {
+      continue;  // already known, or k closer points already recorded
+    }
+    list.Insert(dist, point, k_);
+    stats_.nodes_scanned++;
+    GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
+                          g_.Scan(node, cursor_));
+    for (const AdjEntry& a : nbrs) {
+      heap_.Push(dist + a.weight, {a.node, point});
+      stats_.heap_pushes++;
+    }
+  }
+  return Status::OK();
+}
+
 NnSearcher::NnSearcher(const graph::NetworkView* g,
                        const NodePointSet* points)
     : g_(g), points_(points) {
   GRNN_CHECK(g != nullptr);
   GRNN_CHECK(points != nullptr);
-}
-
-Result<std::vector<NnResult>> NnSearcher::RangeNn(NodeId source, int k,
-                                                  Weight e, PointId exclude,
-                                                  SearchStats* stats) {
-  std::vector<NnResult> out;
-  GRNN_RETURN_NOT_OK(RangeNnInto(source, k, e, exclude, stats, &out));
-  return out;
 }
 
 Status NnSearcher::RangeNnInto(NodeId source, int k, Weight e,
@@ -91,21 +126,13 @@ Result<NnSearcher::VerifyOutcome> NnSearcher::Verify(
     return Status::InvalidArgument(
         StrPrintf("candidate point %u does not exist", candidate));
   }
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (query_nodes.empty()) {
-    return Status::InvalidArgument("query node set is empty");
-  }
+  GRNN_RETURN_NOT_OK(ValidateQueryNodes(g_->num_nodes(), query_nodes, k));
   if (stats != nullptr) {
     stats->verify_calls++;
   }
 
   query_mark_.Reset(g_->num_nodes());
   for (NodeId q : query_nodes) {
-    if (q >= g_->num_nodes()) {
-      return Status::OutOfRange("query node out of range");
-    }
     query_mark_.Insert(q);
   }
 

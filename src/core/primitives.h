@@ -1,12 +1,28 @@
 // Copyright (c) GRNN authors.
-// NN-search primitives of Section 3.1: range-NN(n, k, e) and
-// verify(p, k, q), plus the epoch-stamped scratch space that makes the
-// many local expansions of eager cheap to start.
+// The search steps every RkNN algorithm shares, each defined once:
+//
+//   * the epoch-stamped scratch space that makes the many local
+//     expansions cheap to start;
+//   * DiscoveredExpansion — H', lazy-EP's second expansion around the
+//     discovered points (Section 4.2), also run over sites by lazy
+//     bichromatic and over edge points by unrestricted lazy-EP;
+//   * KSmallest — the capped competitor list of the lazy algorithms'
+//     per-node bookkeeping and of unrestricted verification;
+//   * ValidateQueryNodes — the node-query checks (k, nodes, range);
+//   * SortByPoint — the result order every algorithm reports;
+//   * NnSearcher — range-NN(n, k, e) and verify(p, k, q) of
+//     Section 3.1.
+//
+// The main expansion's seed and relax steps are SearchWorkspace
+// methods (core/workspace.h); unrestricted query preparation is
+// PrepareUnrestrictedQuery (core/unrestricted.h).
 
 #ifndef GRNN_CORE_PRIMITIVES_H_
 #define GRNN_CORE_PRIMITIVES_H_
 
 #include <algorithm>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -120,6 +136,97 @@ struct DiscoveredList {
   }
 };
 
+/// \brief H': the expansion around discovered points that records, per
+/// node, the k nearest discovered points (DiscoveredList). It advances
+/// only up to the main expansion's frontier, so Prunes() applies Lemma 1
+/// with distances the query has already paid for.
+///
+/// Heap, cursor and stats are borrowed: the heap and cursor from the
+/// workspace (ep_heap and aux_nbr_cursor, so a span scanned through the
+/// main cursor survives a drain), the stats from the query's result.
+class DiscoveredExpansion {
+ public:
+  using Heap = IndexedHeap<Weight, std::pair<NodeId, PointId>>;
+
+  /// Clears `heap`.
+  DiscoveredExpansion(const graph::NetworkView& g, size_t k, Heap& heap,
+                      graph::NeighborCursor& cursor, SearchStats& stats)
+      : g_(g), k_(k), heap_(heap), cursor_(cursor), stats_(stats) {
+    heap_.clear();
+  }
+
+  /// Starts H' from point `p`, which lies at distance `d` from node `n`.
+  void Add(NodeId n, PointId p, Weight d) {
+    heap_.Push(d, {n, p});
+    stats_.heap_pushes++;
+  }
+
+  /// Advances H' while its top entry is below `frontier` (the last
+  /// distance deheaped from the main expansion).
+  Status DrainBelow(Weight frontier);
+
+  /// Lemma 1 with discovered points: k of them strictly closer to `n`
+  /// than the query's `dist`.
+  bool Prunes(NodeId n, Weight dist) const {
+    auto it = lists_.find(n);
+    return it != lists_.end() && it->second.CountBelow(dist) >= k_;
+  }
+
+ private:
+  const graph::NetworkView& g_;
+  size_t k_;
+  Heap& heap_;
+  graph::NeighborCursor& cursor_;
+  SearchStats& stats_;
+  std::unordered_map<NodeId, DiscoveredList> lists_;
+};
+
+/// \brief The k smallest values inserted, ascending: the competitor
+/// distances of one node (lazy bookkeeping) or of one candidate
+/// (unrestricted verification).
+class KSmallest {
+ public:
+  explicit KSmallest(size_t k) : k_(k) {}
+
+  void Insert(Weight w) {
+    if (values_.size() == k_ && !(w < values_.back())) {
+      return;
+    }
+    values_.insert(std::upper_bound(values_.begin(), values_.end(), w), w);
+    if (values_.size() > k_) {
+      values_.pop_back();
+    }
+  }
+
+  /// Values strictly (mod fp noise) below `bound`; k means "at least k
+  /// overall" since only the k smallest are kept.
+  size_t CountBelow(Weight bound) const {
+    size_t n = 0;
+    for (Weight v : values_) {
+      n += DistLess(v, bound);
+    }
+    return n;
+  }
+
+  /// True once k values are kept and the largest is below `bound`.
+  bool FullAndBelow(Weight bound) const {
+    return values_.size() == k_ && DistLess(values_.back(), bound);
+  }
+
+ private:
+  size_t k_;
+  std::vector<Weight> values_;
+};
+
+/// The node-query checks every algorithm runs first: k > 0
+/// (InvalidArgument), at least one node (InvalidArgument), every node
+/// below `num_nodes` (OutOfRange).
+Status ValidateQueryNodes(NodeId num_nodes, std::span<const NodeId> nodes,
+                          int k);
+
+/// Sorts the matches by point id, the order every algorithm reports.
+void SortByPoint(RknnResult& result);
+
 /// \brief Reusable engine for the local NN queries issued by the RNN
 /// algorithms. One instance per query keeps scratch allocations amortized;
 /// a rebindable instance inside a SearchWorkspace amortizes them across
@@ -146,22 +253,12 @@ class NnSearcher {
            query_mark_.capacity() + cursor_.scratch_capacity();
   }
 
-  /// range-NN(n, k, e): up to k nearest points with network distance
-  /// STRICTLY smaller than `e`, ascending by distance. `exclude` (and any
-  /// point used as the query itself) never appears in the result.
-  Result<std::vector<NnResult>> RangeNn(NodeId source, int k, Weight e,
-                                        PointId exclude,
-                                        SearchStats* stats);
-
-  /// Allocation-free form of RangeNn: replaces `*out` with the result.
+  /// range-NN(n, k, e): replaces `*out` with up to k nearest points
+  /// with network distance STRICTLY smaller than `e`, ascending by
+  /// distance. `exclude` (and any point used as the query itself) never
+  /// appears in the result.
   Status RangeNnInto(NodeId source, int k, Weight e, PointId exclude,
                      SearchStats* stats, std::vector<NnResult>* out);
-
-  /// Plain k-nearest-neighbor query from a node (e = infinity).
-  Result<std::vector<NnResult>> Knn(NodeId source, int k, PointId exclude,
-                                    SearchStats* stats) {
-    return RangeNn(source, k, kInfinity, exclude, stats);
-  }
 
   struct VerifyOutcome {
     /// True iff the query is among the k nearest points of the candidate.

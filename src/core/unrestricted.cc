@@ -41,23 +41,6 @@ Status ValidatePosition(const graph::Graph& g, const EdgePosition& pos,
   return Status::OK();
 }
 
-// Looks up w(u,v) through the NetworkView (used for query edges, where
-// only adjacency access is available). Charges one adjacency read, as the
-// paper's storage scheme would.
-Result<Weight> ViewEdgeWeight(const graph::NetworkView& g, NodeId u,
-                              NodeId v, graph::NeighborCursor& cursor) {
-  if (u >= g.num_nodes() || v >= g.num_nodes()) {
-    return Status::OutOfRange("edge endpoint out of range");
-  }
-  GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs, g.Scan(u, cursor));
-  for (const AdjEntry& a : nbrs) {
-    if (a.node == v) {
-      return a.weight;
-    }
-  }
-  return Status::NotFound(StrPrintf("no edge (%u,%u)", u, v));
-}
-
 // ---------------------------------------------------------------------
 // Mixed node/point expansion machinery
 //
@@ -73,44 +56,17 @@ inline bool IsPointEntry(const MixedEntry& e) {
   return e.second != kInvalidPoint;
 }
 
-// k smallest competitor distances, ascending.
-class CompetitorList {
- public:
-  explicit CompetitorList(size_t k) : k_(k) {}
-  void Insert(Weight w) {
-    if (values_.size() == k_ && !(w < values_.back())) {
-      return;
-    }
-    values_.insert(std::upper_bound(values_.begin(), values_.end(), w), w);
-    if (values_.size() > k_) {
-      values_.pop_back();
-    }
-  }
-  size_t CountBelow(Weight bound) const {
-    size_t n = 0;
-    for (Weight v : values_) {
-      n += DistLess(v, bound);
-    }
-    return n;
-  }
-  bool FullAndBelow(Weight bound) const {
-    return values_.size() == k_ && DistLess(values_.back(), bound);
-  }
-
- private:
-  size_t k_;
-  std::vector<Weight> values_;
-};
-
 struct VerifyResult {
   bool is_rknn = false;
   Weight dist = kInfinity;
 };
 
 // Shared expansion engine: mixed node/point Dijkstra with incident-edge
-// point discovery. All scratch state lives in the workspace's aux
-// buffers, so batched queries reuse it across calls; the main expansions
-// own the non-aux buffers of the same workspace.
+// point discovery. Verify and RangeNn keep their scratch state in the
+// workspace's aux buffers, so batched queries reuse it across calls;
+// the main expansions own the non-aux buffers of the same workspace,
+// two of which (records, seen_points) VerifyOnce and VerifyIncident use
+// on the main expansion's behalf.
 class UnrestrictedSearcher {
  public:
   UnrestrictedSearcher(const graph::NetworkView* g,
@@ -130,7 +86,9 @@ class UnrestrictedSearcher {
         point_seen_(ws->aux_seen_points),
         cursor_(ws->aux_nbr_cursor),
         records_(ws->aux_records),
-        route_mark_(ws->mark) {
+        route_mark_(ws->mark),
+        incident_records_(ws->records),
+        verified_(ws->seen_points) {
     if (!query->is_position) {
       route_mark_.Reset(g->num_nodes());
       for (NodeId n : query->route) {
@@ -179,7 +137,7 @@ class UnrestrictedSearcher {
       }
     }
 
-    CompetitorList competitors(kk);
+    KSmallest competitors(kk);
     while (!heap_.empty()) {
       auto [key, entry] = heap_.Pop();
       // Position queries settle as soon as the frontier passes the best
@@ -268,6 +226,40 @@ class UnrestrictedSearcher {
       return VerifyResult{competitors.CountBelow(best_q) < kk, best_q};
     }
     return VerifyResult{false, kInfinity};  // query unreachable
+  }
+
+  // Verifies candidate `p` once per query (the main expansion's
+  // seen_points memo) unless it is the excluded point; a member joins
+  // `out`.
+  Status VerifyOnce(PointId p, RknnResult& out) {
+    if (p == options_->exclude_point || !verified_.insert(p).second) {
+      return Status::OK();
+    }
+    const EdgePosition& cpos = points_->PositionOf(p);
+    GRNN_ASSIGN_OR_RETURN(
+        VerifyResult v,
+        Verify(p, cpos, points_->EdgeWeightOfPoint(p), options_->k,
+               kInfinity, &out.stats, [](NodeId, Weight) {}));
+    if (v.is_rknn) {
+      out.results.push_back(PointMatch{p, cpos.u, v.dist});
+    }
+    return Status::OK();
+  }
+
+  // VerifyOnce for every point on the edges incident to `node`, whose
+  // adjacency span `nbrs` the main expansion scanned (candidate
+  // discovery for completeness; see the header).
+  Status VerifyIncident(NodeId node, std::span<const AdjEntry> nbrs,
+                        RknnResult& out) {
+    for (const AdjEntry& a : nbrs) {
+      if (reader_->Has(node, a.node)) {
+        GRNN_RETURN_NOT_OK(reader_->Read(node, a.node, &incident_records_));
+        for (const EdgePointRecord& r : incident_records_) {
+          GRNN_RETURN_NOT_OK(VerifyOnce(r.point, out));
+        }
+      }
+    }
+    return Status::OK();
   }
 
   // Discovered point with its (canonical) position and exact distance.
@@ -377,80 +369,22 @@ class UnrestrictedSearcher {
   graph::NeighborCursor& cursor_;
   std::vector<EdgePointRecord>& records_;
   StampedSet& route_mark_;
+  // Main-expansion buffers, used only by VerifyOnce / VerifyIncident.
+  std::vector<EdgePointRecord>& incident_records_;
+  std::unordered_set<PointId>& verified_;
 };
 
-Status ValidateQuery(const graph::NetworkView& g,
-                     const UnrestrictedQuery& q,
-                     const RknnOptions& options) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (q.is_position) {
-    if (q.position.u >= g.num_nodes() || q.position.v >= g.num_nodes() ||
-        q.position.u == q.position.v) {
-      return Status::InvalidArgument("invalid query position");
-    }
-  } else {
-    if (q.route.empty()) {
-      return Status::InvalidArgument("route is empty");
-    }
-    for (NodeId n : q.route) {
-      if (n >= g.num_nodes()) {
-        return Status::OutOfRange("route node out of range");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-// Canonicalizes the query position and resolves its edge weight. The
-// cursor is only used transiently (callers lend an idle workspace
-// cursor before the expansions start).
-Result<std::pair<UnrestrictedQuery, Weight>> PrepareQuery(
-    const graph::NetworkView& g, const UnrestrictedQuery& q,
-    const RknnOptions& options, graph::NeighborCursor& cursor) {
-  GRNN_RETURN_NOT_OK(ValidateQuery(g, q, options));
-  UnrestrictedQuery prepared = q;
-  Weight qw = 0;
-  if (q.is_position) {
-    GRNN_ASSIGN_OR_RETURN(
-        qw, ViewEdgeWeight(g, q.position.u, q.position.v, cursor));
-    prepared.position = Canonical(q.position, qw);
-    if (!PositionOnEdge(prepared.position.pos, qw)) {
-      return Status::InvalidArgument("query position outside edge");
-    }
-  }
-  return std::make_pair(prepared, qw);
-}
-
 // Seeds of the main expansion: endpoints of the query edge or the route.
-void SeedQuery(const UnrestrictedQuery& q, Weight qw,
-               IndexedHeap<Weight, NodeId>& heap, StampedDistances& best,
-               SearchStats* stats) {
-  auto push = [&](NodeId n, Weight d) {
-    if (d < best.Get(n)) {
-      best.Set(n, d);
-      heap.Push(d, n);
-      if (stats != nullptr) {
-        stats->heap_pushes++;
-      }
-    }
-  };
+void SeedQuery(const UnrestrictedQuery& q, Weight qw, SearchWorkspace& ws,
+               SearchStats& stats) {
   if (q.is_position) {
-    push(q.position.u, q.position.pos);
-    push(q.position.v, qw - q.position.pos);
+    ws.Seed(q.position.u, q.position.pos, stats);
+    ws.Seed(q.position.v, qw - q.position.pos, stats);
   } else {
     for (NodeId n : q.route) {
-      push(n, 0.0);
+      ws.Seed(n, 0.0, stats);
     }
   }
-}
-
-void SortResults(RknnResult& r) {
-  std::sort(r.results.begin(), r.results.end(),
-            [](const PointMatch& a, const PointMatch& b) {
-              return a.point < b.point;
-            });
 }
 
 }  // namespace
@@ -567,6 +501,34 @@ std::vector<PointSeed> EdgePointSet::SeedsOf(const EdgePosition& pos,
 // -----------------------------------------------------------------------
 // Algorithms
 
+Result<std::pair<UnrestrictedQuery, Weight>> PrepareUnrestrictedQuery(
+    const graph::NetworkView& g, const UnrestrictedQuery& q,
+    const RknnOptions& options, graph::NeighborCursor& cursor) {
+  if (!q.is_position) {
+    GRNN_RETURN_NOT_OK(ValidateQueryNodes(g.num_nodes(), q.route, options.k));
+    return std::make_pair(q, Weight{0});
+  }
+  if (options.k <= 0) {
+    return Status::InvalidArgument("k must be positive");
+  }
+  const EdgePosition& pos = q.position;
+  if (pos.u >= g.num_nodes() || pos.v >= g.num_nodes() || pos.u == pos.v) {
+    return Status::InvalidArgument("invalid query position");
+  }
+  GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs, g.Scan(pos.u, cursor));
+  auto edge = std::find_if(nbrs.begin(), nbrs.end(),
+                           [&](const AdjEntry& a) { return a.node == pos.v; });
+  if (edge == nbrs.end()) {
+    return Status::NotFound(StrPrintf("no edge (%u,%u)", pos.u, pos.v));
+  }
+  UnrestrictedQuery prepared = q;
+  prepared.position = Canonical(pos, edge->weight);
+  if (!PositionOnEdge(prepared.position.pos, edge->weight)) {
+    return Status::InvalidArgument("query position outside edge");
+  }
+  return std::make_pair(prepared, edge->weight);
+}
+
 Result<RknnResult> UnrestrictedEagerRknn(const graph::NetworkView& g,
                                          const EdgePointSet& points,
                                          const EdgePointReader& reader,
@@ -576,7 +538,8 @@ Result<RknnResult> UnrestrictedEagerRknn(const graph::NetworkView& g,
   // Armed-trace child span (obs/trace.h): the whole eager expansion.
   obs::ScopedSpan span(obs::CurrentTrace(), "eager.expand");
   GRNN_ASSIGN_OR_RETURN(
-      auto prep, PrepareQuery(g, query, options, ws.aux_nbr_cursor));
+      auto prep,
+      PrepareUnrestrictedQuery(g, query, options, ws.aux_nbr_cursor));
   const auto& [q, qw] = prep;
   const size_t k = static_cast<size_t>(options.k);
 
@@ -585,28 +548,10 @@ Result<RknnResult> UnrestrictedEagerRknn(const graph::NetworkView& g,
                                 &ws);
 
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
-  SeedQuery(q, qw, heap, ws.best, &out.stats);
+  ws.StartExpansion(g.num_nodes());
+  SeedQuery(q, qw, ws, out.stats);
 
-  auto& verified = ws.seen_points;
-  verified.clear();
-
-  auto verify_candidate = [&](PointId p) -> Status {
-    if (p == options.exclude_point || !verified.insert(p).second) {
-      return Status::OK();
-    }
-    const EdgePosition& cpos = points.PositionOf(p);
-    const Weight cw = points.EdgeWeightOfPoint(p);
-    GRNN_ASSIGN_OR_RETURN(
-        auto v, searcher.Verify(p, cpos, cw, options.k, kInfinity,
-                                &out.stats, [](NodeId, Weight) {}));
-    if (v.is_rknn) {
-      out.results.push_back(PointMatch{p, cpos.u, v.dist});
-    }
-    return Status::OK();
-  };
+  ws.seen_points.clear();  // the searcher's VerifyOnce memo
 
   while (!heap.empty()) {
     auto [dist, node] = heap.Pop();
@@ -621,16 +566,7 @@ Result<RknnResult> UnrestrictedEagerRknn(const graph::NetworkView& g,
     // through the aux cursor, never through nbr_cursor.
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(node, ws.nbr_cursor));
-
-    // Candidate discovery on incident edges (completeness; see header).
-    for (const AdjEntry& a : nbrs) {
-      if (reader.Has(node, a.node)) {
-        GRNN_RETURN_NOT_OK(reader.Read(node, a.node, &ws.records));
-        for (const EdgePointRecord& r : ws.records) {
-          GRNN_RETURN_NOT_OK(verify_candidate(r.point));
-        }
-      }
-    }
+    GRNN_RETURN_NOT_OK(searcher.VerifyIncident(node, nbrs, out));
 
     // Lemma 1 pruning via unrestricted-range-NN; its findings are
     // candidates too (as in Fig 4).
@@ -640,7 +576,7 @@ Result<RknnResult> UnrestrictedEagerRknn(const graph::NetworkView& g,
           auto found, searcher.RangeNn(node, options.k, dist, &out.stats));
       closer = found.size();
       for (const auto& f : found) {
-        GRNN_RETURN_NOT_OK(verify_candidate(f.point));
+        GRNN_RETURN_NOT_OK(searcher.VerifyOnce(f.point, out));
       }
     }
     if (closer >= k) {
@@ -648,16 +584,9 @@ Result<RknnResult> UnrestrictedEagerRknn(const graph::NetworkView& g,
       continue;
     }
 
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!ws.visited.Contains(a.node) && nd < ws.best.Get(a.node)) {
-        ws.best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 
@@ -670,7 +599,8 @@ Result<RknnResult> UnrestrictedLazyRknn(const graph::NetworkView& g,
   // Armed-trace child span (obs/trace.h): the whole lazy expansion.
   obs::ScopedSpan span(obs::CurrentTrace(), "lazy.expand");
   GRNN_ASSIGN_OR_RETURN(
-      auto prep, PrepareQuery(g, query, options, ws.aux_nbr_cursor));
+      auto prep,
+      PrepareUnrestrictedQuery(g, query, options, ws.aux_nbr_cursor));
   const auto& [q, qw] = prep;
   const size_t k = static_cast<size_t>(options.k);
 
@@ -681,14 +611,15 @@ Result<RknnResult> UnrestrictedLazyRknn(const graph::NetworkView& g,
   using Heap = IndexedHeap<Weight, NodeId>;
   struct NodeBook {
     explicit NodeBook(size_t cap) : competitors(cap) {}
-    CompetitorList competitors;
+    KSmallest competitors;
     bool visited = false;
     bool children_erased = false;
     Weight dist_q = kInfinity;
     std::vector<Heap::Handle> children;
   };
   Heap& heap = ws.node_heap;
-  heap.clear();
+  ws.StartExpansion(g.num_nodes());
+  SeedQuery(q, qw, ws, out.stats);
   std::unordered_map<NodeId, NodeBook> book;
   auto book_of = [&](NodeId n) -> NodeBook& {
     auto it = book.find(n);
@@ -697,25 +628,6 @@ Result<RknnResult> UnrestrictedLazyRknn(const graph::NetworkView& g,
     }
     return it->second;
   };
-
-  // Seed.
-  {
-    std::unordered_set<NodeId> seeded;
-    auto push_seed = [&](NodeId n, Weight d) {
-      if (seeded.insert(n).second) {
-        heap.Push(d, n);
-        out.stats.heap_pushes++;
-      }
-    };
-    if (q.is_position) {
-      push_seed(q.position.u, q.position.pos);
-      push_seed(q.position.v, qw - q.position.pos);
-    } else {
-      for (NodeId n : q.route) {
-        push_seed(n, 0.0);
-      }
-    }
-  }
 
   auto& verified = ws.seen_points;
   verified.clear();
@@ -794,7 +706,7 @@ Result<RknnResult> UnrestrictedLazyRknn(const graph::NetworkView& g,
       }
     }
   }
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 
@@ -807,7 +719,8 @@ Result<RknnResult> UnrestrictedLazyEpRknn(const graph::NetworkView& g,
   // Armed-trace child span (obs/trace.h): the whole lazy-EP expansion.
   obs::ScopedSpan span(obs::CurrentTrace(), "lazyep.expand");
   GRNN_ASSIGN_OR_RETURN(
-      auto prep, PrepareQuery(g, query, options, ws.aux_nbr_cursor));
+      auto prep,
+      PrepareUnrestrictedQuery(g, query, options, ws.aux_nbr_cursor));
   const auto& [q, qw] = prep;
   const size_t k = static_cast<size_t>(options.k);
 
@@ -816,40 +729,15 @@ Result<RknnResult> UnrestrictedLazyEpRknn(const graph::NetworkView& g,
                                 &ws);
 
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
-  SeedQuery(q, qw, heap, ws.best, &out.stats);
+  ws.StartExpansion(g.num_nodes());
+  SeedQuery(q, qw, ws, out.stats);
 
   // H': per-discovered-point expansion.
-  auto& ep_heap = ws.ep_heap;
-  ep_heap.clear();
-  std::unordered_map<NodeId, DiscoveredList> discovered;
+  DiscoveredExpansion discovered(g, k, ws.ep_heap, ws.aux_nbr_cursor,
+                                 out.stats);
 
   auto& found = ws.seen_points;
   found.clear();
-
-  auto drain_ep = [&](Weight frontier) -> Status {
-    while (!ep_heap.empty() && ep_heap.top_key() < frontier) {
-      auto [d, entry] = ep_heap.Pop();
-      auto [node, point] = entry;
-      DiscoveredList& list = discovered[node];
-      if (list.ContainsPoint(point) || list.SaturatedAt(d, k)) {
-        continue;
-      }
-      list.Insert(d, point, k);
-      out.stats.nodes_scanned++;
-      // Own cursor: the main loop's span must survive a mid-iteration
-      // drain.
-      GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> drain_nbrs,
-                            g.Scan(node, ws.aux_nbr_cursor));
-      for (const AdjEntry& a : drain_nbrs) {
-        ep_heap.Push(d + a.weight, {a.node, point});
-        out.stats.heap_pushes++;
-      }
-    }
-    return Status::OK();
-  };
 
   while (!heap.empty()) {
     auto [dist, node] = heap.Pop();
@@ -857,10 +745,9 @@ Result<RknnResult> UnrestrictedLazyEpRknn(const graph::NetworkView& g,
       continue;
     }
     ws.visited.Insert(node);
-    GRNN_RETURN_NOT_OK(drain_ep(dist));
+    GRNN_RETURN_NOT_OK(discovered.DrainBelow(dist));
 
-    auto it = discovered.find(node);
-    if (it != discovered.end() && it->second.CountBelow(dist) >= k) {
+    if (discovered.Prunes(node, dist)) {
       out.stats.nodes_pruned++;
       continue;
     }
@@ -891,28 +778,19 @@ Result<RknnResult> UnrestrictedLazyEpRknn(const graph::NetworkView& g,
           out.results.push_back(PointMatch{r.point, cpos.u, v.dist});
         }
         // Feed H' from both endpoints of the hosting edge.
-        ep_heap.Push(cpos.pos, {cpos.u, r.point});
-        ep_heap.Push(cw - cpos.pos, {cpos.v, r.point});
-        out.stats.heap_pushes += 2;
+        discovered.Add(cpos.u, r.point, cpos.pos);
+        discovered.Add(cpos.v, r.point, cw - cpos.pos);
       }
     }
 
-    GRNN_RETURN_NOT_OK(drain_ep(dist));
-    it = discovered.find(node);
-    if (it != discovered.end() && it->second.CountBelow(dist) >= k) {
+    GRNN_RETURN_NOT_OK(discovered.DrainBelow(dist));
+    if (discovered.Prunes(node, dist)) {
       continue;
     }
 
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!ws.visited.Contains(a.node) && nd < ws.best.Get(a.node)) {
-        ws.best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 
@@ -932,7 +810,8 @@ Result<RknnResult> UnrestrictedEagerMRknn(const graph::NetworkView& g,
   // Armed-trace child span (obs/trace.h): the whole eager-M expansion.
   obs::ScopedSpan span(obs::CurrentTrace(), "eagerm.expand");
   GRNN_ASSIGN_OR_RETURN(
-      auto prep, PrepareQuery(g, query, options, ws.aux_nbr_cursor));
+      auto prep,
+      PrepareUnrestrictedQuery(g, query, options, ws.aux_nbr_cursor));
   const auto& [q, qw] = prep;
   const size_t k = static_cast<size_t>(options.k);
 
@@ -941,29 +820,11 @@ Result<RknnResult> UnrestrictedEagerMRknn(const graph::NetworkView& g,
                                 &ws);
 
   auto& heap = ws.node_heap;
-  heap.clear();
-  ws.best.Reset(g.num_nodes());
-  ws.visited.Reset(g.num_nodes());
-  SeedQuery(q, qw, heap, ws.best, &out.stats);
+  ws.StartExpansion(g.num_nodes());
+  SeedQuery(q, qw, ws, out.stats);
 
-  auto& verified = ws.seen_points;
-  verified.clear();
+  ws.seen_points.clear();  // the searcher's VerifyOnce memo
   auto& list = ws.knn_list;
-
-  auto verify_candidate = [&](PointId p) -> Status {
-    if (p == options.exclude_point || !verified.insert(p).second) {
-      return Status::OK();
-    }
-    const EdgePosition& cpos = points.PositionOf(p);
-    const Weight cw = points.EdgeWeightOfPoint(p);
-    GRNN_ASSIGN_OR_RETURN(
-        auto v, searcher.Verify(p, cpos, cw, options.k, kInfinity,
-                                &out.stats, [](NodeId, Weight) {}));
-    if (v.is_rknn) {
-      out.results.push_back(PointMatch{p, cpos.u, v.dist});
-    }
-    return Status::OK();
-  };
 
   while (!heap.empty()) {
     auto [dist, node] = heap.Pop();
@@ -977,14 +838,7 @@ Result<RknnResult> UnrestrictedEagerMRknn(const graph::NetworkView& g,
     // The span survives the nested verifications below (aux cursor).
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(node, ws.nbr_cursor));
-    for (const AdjEntry& a : nbrs) {
-      if (reader.Has(node, a.node)) {
-        GRNN_RETURN_NOT_OK(reader.Read(node, a.node, &ws.records));
-        for (const EdgePointRecord& r : ws.records) {
-          GRNN_RETURN_NOT_OK(verify_candidate(r.point));
-        }
-      }
-    }
+    GRNN_RETURN_NOT_OK(searcher.VerifyIncident(node, nbrs, out));
 
     // Materialized pruning + candidates.
     GRNN_RETURN_NOT_OK(store->Read(node, &list));
@@ -992,7 +846,7 @@ Result<RknnResult> UnrestrictedEagerMRknn(const graph::NetworkView& g,
     size_t closer = 0;
     for (const NnEntry& e : list) {
       if (e.point != options.exclude_point && DistLess(e.dist, dist)) {
-        GRNN_RETURN_NOT_OK(verify_candidate(e.point));
+        GRNN_RETURN_NOT_OK(searcher.VerifyOnce(e.point, out));
         if (++closer >= k) {
           break;
         }
@@ -1003,16 +857,9 @@ Result<RknnResult> UnrestrictedEagerMRknn(const graph::NetworkView& g,
       continue;
     }
 
-    for (const AdjEntry& a : nbrs) {
-      const Weight nd = dist + a.weight;
-      if (!ws.visited.Contains(a.node) && nd < ws.best.Get(a.node)) {
-        ws.best.Set(a.node, nd);
-        heap.Push(nd, a.node);
-        out.stats.heap_pushes++;
-      }
-    }
+    ws.Relax(nbrs, dist, out.stats);
   }
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 
@@ -1021,7 +868,7 @@ Result<RknnResult> UnrestrictedBruteForceRknn(
     const UnrestrictedQuery& query, const RknnOptions& options) {
   graph::NeighborCursor cursor;
   GRNN_ASSIGN_OR_RETURN(auto prep,
-                        PrepareQuery(g, query, options, cursor));
+                        PrepareUnrestrictedQuery(g, query, options, cursor));
   const auto& [q, qw] = prep;
 
   // Multi-seed Dijkstra over nodes: the edge-resident point seeds both
@@ -1088,7 +935,7 @@ Result<RknnResult> UnrestrictedBruteForceRknn(
       out.results.push_back(PointMatch{p, ppos.u, d_query});
     }
   }
-  SortResults(out);
+  SortByPoint(out);
   return out;
 }
 

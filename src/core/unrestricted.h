@@ -19,6 +19,7 @@
 #define GRNN_CORE_UNRESTRICTED_H_
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -172,6 +173,19 @@ struct UnrestrictedQuery {
   EdgePosition position;        // used when is_position
   std::vector<NodeId> route;    // used otherwise
 };
+
+/// \brief The checks and canonical form every unrestricted query path
+/// starts from (the four algorithms, the oracle and the hub-label path).
+///
+/// A route takes the node-query checks (ValidateQueryNodes). A position
+/// needs k > 0 and two distinct in-range nodes (else InvalidArgument),
+/// an edge between them (else NotFound; its weight costs one adjacency
+/// read through `cursor`) and an offset on that edge (else
+/// InvalidArgument); it is returned canonical (u < v) together with the
+/// edge weight (0 for a route).
+Result<std::pair<UnrestrictedQuery, Weight>> PrepareUnrestrictedQuery(
+    const graph::NetworkView& g, const UnrestrictedQuery& q,
+    const RknnOptions& options, graph::NeighborCursor& cursor);
 
 /// \brief Eager RkNN for unrestricted networks. Workspace-threaded
 /// (see EagerRknn in eager.h); one-shot callers use RknnEngine.

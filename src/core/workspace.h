@@ -9,7 +9,9 @@
 // buffers fall into two groups that may be live at the same time:
 //
 //   * main buffers (node_heap, best, visited, nbr_cursor, records,
-//     seen_points) hold the primary expansion around the query;
+//     seen_points) hold the primary expansion around the query, which
+//     every algorithm starts, seeds and relaxes through the three
+//     methods StartExpansion, Seed and Relax;
 //   * aux buffers (aux_node_heap, mixed_heap, aux_best, aux_visited,
 //     aux_nbr_cursor, aux_records, aux_seen_points) hold the
 //     sub-expansions (verification / range-NN) that run while the main
@@ -35,6 +37,7 @@
 #ifndef GRNN_CORE_WORKSPACE_H_
 #define GRNN_CORE_WORKSPACE_H_
 
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -89,6 +92,37 @@ class SearchWorkspace {
   // sampling allocates nothing after warm-up (the arena reuses its
   // spans vector like every other pooled buffer).
   obs::TraceContext trace;
+
+  // --- The main expansion's steps, shared by every algorithm ---
+
+  /// Starts the main expansion: empty node_heap, no node reached or
+  /// settled.
+  void StartExpansion(size_t num_nodes) {
+    node_heap.clear();
+    best.Reset(num_nodes);
+    visited.Reset(num_nodes);
+  }
+
+  /// Reaches node `n` at distance `d`: pushes it when `d` beats the
+  /// best distance so far.
+  void Seed(NodeId n, Weight d, SearchStats& stats) {
+    if (d < best.Get(n)) {
+      best.Set(n, d);
+      node_heap.Push(d, n);
+      stats.heap_pushes++;
+    }
+  }
+
+  /// Relaxes the edges of a node settled at `dist`: Seed on every
+  /// unvisited neighbour.
+  void Relax(std::span<const AdjEntry> nbrs, Weight dist,
+             SearchStats& stats) {
+    for (const AdjEntry& a : nbrs) {
+      if (!visited.Contains(a.node)) {
+        Seed(a.node, dist + a.weight, stats);
+      }
+    }
+  }
 
   /// Total element capacity of every pooled buffer. RknnEngine snapshots
   /// this around each query: once a workspace has warmed up on a given

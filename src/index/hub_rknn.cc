@@ -14,17 +14,8 @@ Status ValidateQuery(const LabelStore& labels,
                      const HubPointIndex& candidates,
                      const HubPointIndex& competitors,
                      std::span<const NodeId> query_nodes, int k) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (query_nodes.empty()) {
-    return Status::InvalidArgument("query node set is empty");
-  }
-  for (NodeId q : query_nodes) {
-    if (q >= labels.num_nodes()) {
-      return Status::OutOfRange("query node out of range");
-    }
-  }
+  GRNN_RETURN_NOT_OK(
+      core::ValidateQueryNodes(labels.num_nodes(), query_nodes, k));
   if (candidates.num_hubs() != labels.num_nodes() ||
       competitors.num_hubs() != labels.num_nodes()) {
     return Status::InvalidArgument(
@@ -190,69 +181,23 @@ Result<core::RknnResult> RknnViaLabels(const LabelStore& labels,
     verify.Note("results", out.results.size());
   }
 
-  std::sort(out.results.begin(), out.results.end(),
-            [](const core::PointMatch& a, const core::PointMatch& b) {
-              return a.point < b.point;
-            });
+  core::SortByPoint(out);
   return out;
 }
-
-namespace {
-
-/// Weight of edge (u, v) through the view; NotFound when absent.
-Result<Weight> ViewEdgeWeightFor(const graph::NetworkView& g, NodeId u,
-                                 NodeId v,
-                                 graph::NeighborCursor& cursor) {
-  GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs, g.Scan(u, cursor));
-  for (const AdjEntry& e : nbrs) {
-    if (e.node == v) {
-      return e.weight;
-    }
-  }
-  return Status::NotFound("query position names a nonexistent edge");
-}
-
-}  // namespace
 
 Result<core::RknnResult> UnrestrictedRknnViaLabels(
     const LabelStore& labels, const graph::NetworkView& g,
     const core::EdgePointSet& points, const HubPointIndex& index,
     const core::UnrestrictedQuery& query, const core::RknnOptions& options,
     LabelWorkspace& ws, graph::NeighborCursor& nbr_cursor) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
   if (index.num_hubs() != labels.num_nodes()) {
     return Status::InvalidArgument(
         "point index does not cover the label store's node universe");
   }
-  core::UnrestrictedQuery q = query;
-  Weight qw = 0;
-  if (q.is_position) {
-    if (q.position.u >= labels.num_nodes() ||
-        q.position.v >= labels.num_nodes() ||
-        q.position.u == q.position.v) {
-      return Status::InvalidArgument("invalid query position");
-    }
-    GRNN_ASSIGN_OR_RETURN(qw, ViewEdgeWeightFor(g, q.position.u,
-                                                q.position.v, nbr_cursor));
-    if (q.position.u > q.position.v) {
-      q.position = core::EdgePosition{q.position.v, q.position.u,
-                                      qw - q.position.pos};
-    }
-    if (!core::PositionOnEdge(q.position.pos, qw)) {
-      return Status::InvalidArgument("query position outside edge");
-    }
-  } else {
-    if (q.route.empty()) {
-      return Status::InvalidArgument("route is empty");
-    }
-    for (NodeId n : q.route) {
-      if (n >= labels.num_nodes()) {
-        return Status::OutOfRange("route node out of range");
-      }
-    }
-  }
+  GRNN_ASSIGN_OR_RETURN(
+      auto prep,
+      core::PrepareUnrestrictedQuery(g, query, options, nbr_cursor));
+  const auto& [q, qw] = prep;
 
   core::RknnResult out;
   const PointId bound =
@@ -361,10 +306,7 @@ Result<core::RknnResult> UnrestrictedRknnViaLabels(
     verify.Note("results", out.results.size());
   }
 
-  std::sort(out.results.begin(), out.results.end(),
-            [](const core::PointMatch& a, const core::PointMatch& b) {
-              return a.point < b.point;
-            });
+  core::SortByPoint(out);
   return out;
 }
 

@@ -207,11 +207,12 @@ void Scheduler::WorkerLoop() {
       specs.push_back(req->spec);
     }
     Result<core::RknnEngine::BatchResult> run = engine_->RunBatch(specs);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.batches++;
+      stats_.batch_fallbacks += !run.ok();
+    }
     if (run.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.batches++;
-      }
       for (size_t i = 0; i < batch.size(); ++i) {
         Complete(batch[i], std::move(run->results[i]),
                  Disposition::kRun);
@@ -220,10 +221,6 @@ void Scheduler::WorkerLoop() {
       // RunBatch aborts at the first failing spec; replay the batch
       // per-request so the error attributes to the request that caused
       // it and the innocent ones still get answers.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.batch_fallbacks++;
-      }
       for (const auto& req : batch) {
         Complete(req, engine_->Run(req->spec), Disposition::kRun);
       }

@@ -116,6 +116,7 @@ class Scheduler {
     uint64_t shed = 0;
     uint64_t expired = 0;
     uint64_t completed = 0;
+    /// Batches that reached the engine, replayed ones included.
     uint64_t batches = 0;
     /// Batches whose RunBatch failed and were replayed per-spec so the
     /// error lands on the request that caused it.

@@ -312,7 +312,7 @@ Status KnnFile::Read(BufferPool* pool, NodeId n,
 }
 
 Status KnnFile::Write(BufferPool* pool, NodeId n,
-                      const std::vector<NnEntry>& entries, uint64_t lsn) {
+                      const std::vector<NnEntry>& entries) {
   if (n >= num_nodes_) {
     return Status::OutOfRange(StrPrintf("node %u out of range", n));
   }
@@ -334,17 +334,8 @@ Status KnnFile::Write(BufferPool* pool, NodeId n,
     GRNN_ASSIGN_OR_RETURN(PageGuard guard, pool->Acquire(page));
     const size_t chunk =
         std::min(list_bytes_ - written, page_size_ - in_page);
-    uint8_t* dst = guard.mutable_data();
-    std::memcpy(dst + in_page, bytes.data() + written, chunk);
-    if (lsn != 0) {
-      // Monotone stamp: the header records the NEWEST applied update.
-      uint64_t page_lsn = 0;
-      std::memcpy(&page_lsn, dst + offsetof(KnnPageHeader, lsn),
-                  sizeof(page_lsn));
-      if (lsn > page_lsn) {
-        std::memcpy(dst + offsetof(KnnPageHeader, lsn), &lsn, sizeof(lsn));
-      }
-    }
+    std::memcpy(guard.mutable_data() + in_page, bytes.data() + written,
+                chunk);
     written += chunk;
     data_page++;
     in_page = kKnnPageHeaderBytes;

@@ -16,7 +16,7 @@
 //                 the header; unused entries hold kInvalidPoint.
 //
 // The page header's spare 8 bytes carry the page LSN — the WAL lsn of
-// the newest update applied to the page. Write()/WriteBatch() stamp it;
+// the newest update applied to the page. WriteBatch() stamps it;
 // redo-on-open (ReplayBatch) re-applies a logged record only to pages
 // whose LSN is older than the record's, which makes recovery
 // idempotent. The filter is sound only if content and stamp move
@@ -35,9 +35,9 @@
 // are safe even when the slots share a page (each call pins the shared
 // frame and touches only its own byte range; the buffer pool serializes
 // the pin bookkeeping). The page-header LSN stamp is the exception: it
-// is bytes shared by every slot writer of the page, so concurrent
-// same-page writers may only pass lsn != 0 when externally serialized —
-// the engine's per-domain exclusive update locks provide exactly that.
+// is bytes shared by every slot writer of the page, so WriteBatch must
+// be externally serialized against other writers of its pages — the
+// engine's per-domain exclusive update locks provide exactly that.
 // Read and Write of the *same* node race and need external
 // synchronization too. A zero-capacity pool hands every Acquire a
 // private page copy and writes the WHOLE page back on release, so
@@ -93,7 +93,7 @@ struct KnnFileHeader {
 static_assert(sizeof(KnnFileHeader) == 32);
 
 /// Header at the start of every data page. The LSN occupies the spare
-/// 8 bytes at offset 8 — pinned here so LSN stamping (Write/redo) and
+/// 8 bytes at offset 8 — pinned here so LSN stamping (WriteBatch/redo) and
 /// any future header field can never silently collide.
 struct KnnPageHeader {
   uint32_t magic = 0;     // kKnnPageMagic
@@ -142,12 +142,10 @@ class KnnFile {
   Status Read(BufferPool* pool, NodeId n, std::vector<NnEntry>* out) const;
 
   /// Replaces the stored list of `n` (entries.size() <= k). Pages are
-  /// marked dirty in the pool and written back on eviction/flush. A
-  /// non-zero `lsn` stamps the touched pages' headers (monotonically:
-  /// the stamp never decreases) — the journaled update path passes its
-  /// WAL record's lsn, plain callers leave the default.
+  /// marked dirty in the pool and written back on eviction/flush; their
+  /// LSNs are left alone (journaled writes go through WriteBatch).
   Status Write(BufferPool* pool, NodeId n,
-               const std::vector<NnEntry>& entries, uint64_t lsn = 0);
+               const std::vector<NnEntry>& entries);
 
   /// Applies every list image of ONE journaled record under its lsn.
   /// Unlike per-list Write calls, each touched page is pinned exactly

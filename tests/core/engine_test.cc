@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/durability.h"
 #include "graph/network_view.h"
@@ -939,6 +941,137 @@ TEST(EngineHubTest, FailedInsertPatchAbortsTheDurableUpdate) {
     EXPECT_EQ(w->edge_points.LivePoints(), live_before);
     EXPECT_TRUE(durable.store->poisoned());
     EXPECT_EQ(durable.store->last_commit_lsn(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Invalid specs: every algorithm answers a malformed spec with a Status
+// (never an answer or a crash), and the table pins which code. Each row
+// runs under the six algorithms on the engine(s) it names; a code string
+// lists the expected code per algorithm in the order E, L, LP, EM, BF, H
+// (I = InvalidArgument, O = OutOfRange, N = NotFound,
+// F = FailedPrecondition, '-' = valid for that algorithm, not run).
+
+char CodeLetter(const Status& s) {
+  switch (s.code()) {
+    case StatusCode::kOk:
+      return '+';
+    case StatusCode::kInvalidArgument:
+      return 'I';
+    case StatusCode::kOutOfRange:
+      return 'O';
+    case StatusCode::kNotFound:
+      return 'N';
+    case StatusCode::kFailedPrecondition:
+      return 'F';
+    default:
+      return '?';
+  }
+}
+
+TEST(EngineHubTest, InvalidSpecTableUnderEveryAlgorithm) {
+  auto w = MakeWorld(33, 2);  // stores materialize K = 3
+  auto labels = index::HubLabelBuilder::Build(*w->view).ValueOrDie();
+  RknnEngine node_engine = HubNodeEngine(*w, labels);
+  RknnEngine edge_engine = HubEdgeEngine(*w, labels);
+  constexpr Algorithm kAlgos[] = {
+      Algorithm::kEager,  Algorithm::kLazy,       Algorithm::kLazyEp,
+      Algorithm::kEagerM, Algorithm::kBruteForce, Algorithm::kHubLabel};
+  constexpr int kOverK = 4;
+  const NodeId n = w->g.num_nodes();
+  const Edge e = w->g.CollectEdges().front();
+  NodeId lone = kInvalidNode;  // in range, but no edge (e.u, lone)
+  for (NodeId v = 0; v < n && lone == kInvalidNode; ++v) {
+    if (v != e.u && !w->g.EdgeWeight(e.u, v).ok()) {
+      lone = v;
+    }
+  }
+  ASSERT_NE(lone, kInvalidNode);
+
+  auto nodes = [](QueryKind kind, std::vector<NodeId> targets, int k) {
+    QuerySpec spec;
+    spec.kind = kind;
+    spec.query_nodes = std::move(targets);
+    spec.k = k;
+    return spec;
+  };
+  auto at = [](EdgePosition pos, int k) {
+    QuerySpec spec;
+    spec.kind = QueryKind::kUnrestricted;
+    spec.position = pos;
+    spec.k = k;
+    return spec;
+  };
+  const QueryKind kMono = QueryKind::kMonochromatic;
+  const QueryKind kBi = QueryKind::kBichromatic;
+  const QueryKind kRoute = QueryKind::kContinuous;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const EdgePosition valid{e.u, e.v, e.w / 2};
+  struct Row {
+    const char* name;
+    QuerySpec spec;
+    const char* node_codes;  // nullptr: not run on the node engine
+    const char* edge_codes;  // nullptr: not run on the edge engine
+  };
+  const Row rows[] = {
+      {"mono node out of range", nodes(kMono, {n}, 1), "OOOOOO", nullptr},
+      {"bichromatic node out of range", nodes(kBi, {n}, 1), "OOOOOO",
+       nullptr},
+      {"mono without nodes", nodes(kMono, {}, 1), "IIIIII", nullptr},
+      {"bichromatic without nodes", nodes(kBi, {}, 1), "IIIIII", nullptr},
+      {"empty route", nodes(kRoute, {}, 1), "IIIIII", "IIIIII"},
+      {"route node out of range", nodes(kRoute, {0, n}, 1), "OOOOOO",
+       "OOOOOO"},
+      {"position u == v", at({e.u, e.u, 0}, 1), nullptr, "IIIIII"},
+      {"position u out of range", at({n, e.v, 0}, 1), nullptr, "IIIIII"},
+      {"position on a missing edge", at({e.u, lone, 0}, 1), nullptr,
+       "NNNNNN"},
+      {"NaN offset", at({e.u, e.v, nan}, 1), nullptr, "IIIIII"},
+      {"negative offset", at({e.u, e.v, -0.25}, 1), nullptr, "IIIIII"},
+      {"offset beyond w", at({e.u, e.v, e.w + 0.25}, 1), nullptr,
+       "IIIIII"},
+      {"k = 0", nodes(kMono, {0}, 0), "IIIIII", nullptr},
+      {"k = -1", nodes(kMono, {0}, -1), "IIIIII", nullptr},
+      {"position k = 0", at(valid, 0), nullptr, "IIIIII"},
+      {"position k = -1", at(valid, -1), nullptr, "IIIIII"},
+      {"mono k > K", nodes(kMono, {0}, kOverK), "---I--", nullptr},
+      {"bichromatic k > K", nodes(kBi, {0}, kOverK), "---I--", nullptr},
+      {"route k > K", nodes(kRoute, {0, 1}, kOverK), "---I--", "---I--"},
+      {"position k > K", at(valid, kOverK), nullptr, "---I--"},
+      {"mono on an edge engine", nodes(kMono, {0}, 1), nullptr, "FFFFFF"},
+      {"position on a node engine", at(valid, 1), "FFFFFF", nullptr},
+      {"mono node out of range, k > K", nodes(kMono, {n}, kOverK),
+       "OOOIOO", nullptr},
+      {"bichromatic node out of range, k > K", nodes(kBi, {n}, kOverK),
+       "OOOOOO", nullptr},
+      {"empty route, k > K", nodes(kRoute, {}, kOverK), "IIIIII",
+       "IIIIII"},
+      {"position u == v, k > K", at({e.u, e.u, 0}, kOverK), nullptr,
+       "IIIIII"},
+  };
+  for (const Row& row : rows) {
+    for (const auto& [engine, want] :
+         {std::pair<RknnEngine*, const char*>{&node_engine,
+                                              row.node_codes},
+          std::pair<RknnEngine*, const char*>{&edge_engine,
+                                              row.edge_codes}}) {
+      if (want == nullptr) {
+        continue;
+      }
+      std::string got;
+      for (size_t a = 0; a < std::size(kAlgos); ++a) {
+        if (want[a] == '-') {
+          got += '-';
+          continue;
+        }
+        QuerySpec spec = row.spec;
+        spec.algorithm = kAlgos[a];
+        got += CodeLetter(engine->Run(spec).status());
+      }
+      EXPECT_EQ(got, want)
+          << row.name << " on the "
+          << (engine == &node_engine ? "node" : "edge") << " engine";
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/network_view.h"
 #include "test_fixtures.h"
 
@@ -17,9 +19,11 @@ TEST(RangeNnTest, PaperExampleRangeSevenExcludesBoundary) {
   graph::GraphView view(&f.g);
   NnSearcher searcher(&view, &f.points);
   SearchStats stats;
-  auto hits =
-      searcher.RangeNn(/*source=*/3, 1, 7.0, kInvalidPoint, &stats)
-          .ValueOrDie();
+  std::vector<NnResult> hits;
+  ASSERT_TRUE(searcher
+                  .RangeNnInto(/*source=*/3, 1, 7.0, kInvalidPoint, &stats,
+                               &hits)
+                  .ok());
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(stats.range_nn_calls, 1u);
 }
@@ -28,8 +32,9 @@ TEST(RangeNnTest, PaperExampleRangeEightFindsP1) {
   auto f = PaperExample();
   graph::GraphView view(&f.g);
   NnSearcher searcher(&view, &f.points);
-  auto hits =
-      searcher.RangeNn(3, 1, 7.5, kInvalidPoint, nullptr).ValueOrDie();
+  std::vector<NnResult> hits;
+  ASSERT_TRUE(
+      searcher.RangeNnInto(3, 1, 7.5, kInvalidPoint, nullptr, &hits).ok());
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].point, 0u);  // p1
   EXPECT_DOUBLE_EQ(hits[0].dist, 7.0);
@@ -40,8 +45,9 @@ TEST(RangeNnTest, RangeNnAroundN3FindsP1AtThree) {
   auto f = PaperExample();
   graph::GraphView view(&f.g);
   NnSearcher searcher(&view, &f.points);
-  auto hits =
-      searcher.RangeNn(2, 1, 4.0, kInvalidPoint, nullptr).ValueOrDie();
+  std::vector<NnResult> hits;
+  ASSERT_TRUE(
+      searcher.RangeNnInto(2, 1, 4.0, kInvalidPoint, nullptr, &hits).ok());
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].point, 0u);
   EXPECT_DOUBLE_EQ(hits[0].dist, 3.0);
@@ -51,11 +57,13 @@ TEST(RangeNnTest, KLimitsResults) {
   auto f = PaperExample();
   graph::GraphView view(&f.g);
   NnSearcher searcher(&view, &f.points);
-  auto one = searcher.RangeNn(3, 1, 100.0, kInvalidPoint, nullptr)
-                 .ValueOrDie();
+  std::vector<NnResult> one;
+  ASSERT_TRUE(
+      searcher.RangeNnInto(3, 1, 100.0, kInvalidPoint, nullptr, &one).ok());
   EXPECT_EQ(one.size(), 1u);
-  auto all = searcher.RangeNn(3, 5, 100.0, kInvalidPoint, nullptr)
-                 .ValueOrDie();
+  std::vector<NnResult> all;
+  ASSERT_TRUE(
+      searcher.RangeNnInto(3, 5, 100.0, kInvalidPoint, nullptr, &all).ok());
   ASSERT_EQ(all.size(), 3u);
   // Ascending by distance: p1@7, p2@8, p3@9.
   EXPECT_EQ(all[0].point, 0u);
@@ -68,8 +76,9 @@ TEST(RangeNnTest, ExcludePointSkipsIt) {
   auto f = PaperExample();
   graph::GraphView view(&f.g);
   NnSearcher searcher(&view, &f.points);
-  auto hits =
-      searcher.RangeNn(3, 1, 100.0, /*exclude=*/0, nullptr).ValueOrDie();
+  std::vector<NnResult> hits;
+  ASSERT_TRUE(
+      searcher.RangeNnInto(3, 1, 100.0, /*exclude=*/0, nullptr, &hits).ok());
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].point, 1u);  // p2 instead of excluded p1
 }
@@ -78,16 +87,21 @@ TEST(RangeNnTest, ZeroOrNegativeRangeIsEmpty) {
   auto f = PaperExample();
   graph::GraphView view(&f.g);
   NnSearcher searcher(&view, &f.points);
-  EXPECT_TRUE(
-      searcher.RangeNn(3, 1, 0.0, kInvalidPoint, nullptr)->empty());
+  std::vector<NnResult> hits{NnResult{}};  // replaced, not appended to
+  ASSERT_TRUE(
+      searcher.RangeNnInto(3, 1, 0.0, kInvalidPoint, nullptr, &hits).ok());
+  EXPECT_TRUE(hits.empty());
 }
 
 TEST(RangeNnTest, InvalidArguments) {
   auto f = PaperExample();
   graph::GraphView view(&f.g);
   NnSearcher searcher(&view, &f.points);
-  EXPECT_FALSE(searcher.RangeNn(99, 1, 1.0, kInvalidPoint, nullptr).ok());
-  EXPECT_FALSE(searcher.RangeNn(0, 0, 1.0, kInvalidPoint, nullptr).ok());
+  std::vector<NnResult> hits;
+  EXPECT_FALSE(
+      searcher.RangeNnInto(99, 1, 1.0, kInvalidPoint, nullptr, &hits).ok());
+  EXPECT_FALSE(
+      searcher.RangeNnInto(0, 0, 1.0, kInvalidPoint, nullptr, &hits).ok());
 }
 
 TEST(VerifyTest, PaperExampleP1IsRnn) {

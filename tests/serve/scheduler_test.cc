@@ -343,6 +343,8 @@ TEST(SchedulerTest, BatchFailureAttributesToTheBadRequest) {
   EXPECT_EQ(bad_ticket.Wait().disposition, Disposition::kRun);
   const Scheduler::Stats s = sched.stats();
   EXPECT_EQ(s.batch_fallbacks, 1u);
+  // Both batches ran: the plug alone, then the replayed one.
+  EXPECT_EQ(s.batches, 2u);
   EXPECT_EQ(s.completed, 4u);
 }
 
