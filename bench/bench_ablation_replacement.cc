@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   auto env = BuildStoredRestricted(net.g, points, /*K=*/0).ValueOrDie();
 
   Table table({"algorithm", "policy", "IO/q", "CPUms/q"});
+  JsonReport report("ablation_replacement", args);
   for (core::Algorithm a :
        {core::Algorithm::kEager, core::Algorithm::kLazy}) {
     for (auto policy : {storage::ReplacementPolicy::kLru,
@@ -49,14 +50,21 @@ int main(int argc, char** argv) {
                         return r.results.size();
                       })
               .ValueOrDie();
-      table.AddRow({core::AlgorithmName(a),
-                    policy == storage::ReplacementPolicy::kLru ? "LRU"
-                                                               : "FIFO",
+      const char* policy_name =
+          policy == storage::ReplacementPolicy::kLru ? "LRU" : "FIFO";
+      table.AddRow({core::AlgorithmName(a), policy_name,
                     Table::Num(m.AvgFaults(), 1),
                     Table::Num(m.AvgCpuMs(), 2)});
+      report.AddConfig(StrPrintf("algo=%s,policy=%s",
+                                 core::AlgorithmShortName(a), policy_name),
+                       JsonReport::MeasurementMetrics(m));
     }
   }
   table.Print();
+  if (auto st = report.WriteIfRequested(); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 1;
+  }
   std::printf(
       "\nexpected: LRU <= FIFO for eager (its range-NN re-visits have\n"
       "strong recency); the gap narrows for lazy's more scan-like\n"

@@ -203,8 +203,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   core::NodePointSet pts = w.points;
   auto env = BuildStoredRestricted(w.g, pts, 4, kDefaultPoolPages,
-                                   storage::kDefaultConcurrentShards,
-                                   storage::PageLayout::kV2Aligned)
+                                   storage::kDefaultConcurrentShards)
                  .ValueOrDie();
   core::EngineSources sources;
   sources.graph = env.view.get();

@@ -353,9 +353,9 @@ class RknnEngine {
   /// already out of the set and its list entries may survive, for
   /// inserts mid-maintenance the store may hold a partial write — so
   /// treat any maintenance error as the store being corrupt: quiesce
-  /// and rebuild with BuildAllNn. (The buffer pool absorbs transient
-  /// pin contention internally, so maintenance errors mean real I/O
-  /// trouble, not concurrency noise.)
+  /// and rebuild with BuildAllNn. (A store write that finds its pool
+  /// shard fully pinned waits for a frame instead of failing, so
+  /// maintenance errors mean real I/O trouble, not concurrency noise.)
   Result<UpdateResult> ApplyUpdate(const UpdateSpec& spec);
 
   /// Snapshot of the cumulative counters across every completed

@@ -11,9 +11,9 @@
 // std::span<const AdjEntry> instead of copying into a caller vector.
 //   * GraphView returns a span straight into the CSR arrays — zero copy,
 //     zero allocation per scan.
-//   * StoredGraph copies the list out of its pages into the cursor's
-//     scratch buffer and unpins them before Scan returns (both page
-//     layouts), so no buffer-pool pin outlives a Scan.
+//   * StoredGraph decodes the list out of its pages into the cursor's
+//     scratch buffer and unpins them before Scan returns, so no
+//     buffer-pool pin outlives a Scan.
 // Either way the span points into memory the CSR or the cursor owns,
 // and a warm cursor performs no allocation per scan.
 //

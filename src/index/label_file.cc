@@ -155,9 +155,9 @@ Result<LabelFile> LabelFile::Build(const HubLabelIndex& index,
   const size_t dir_pages = (n + dir_per_page - 1) / dir_per_page;
   const size_t capacity = page_size - kLabelPageHeaderBytes;
 
-  // Lay the data region out first (same pad rule as the v2 GraphFile: a
-  // blob that fits a page never straddles a boundary), so the directory
-  // can be written in one forward pass.
+  // Lay the data region out first (same pad rule as GraphFile: a blob
+  // that fits a page never straddles a boundary), so the directory can
+  // be written in one forward pass.
   const uint64_t data_start =
       static_cast<uint64_t>(1 + dir_pages) * page_size;
   uint64_t data_pages = 0;

@@ -1,13 +1,33 @@
 #include "storage/buffer_pool.h"
 
 #include <cstring>
-#include <thread>
 
 #include "common/string_util.h"
 #include "obs/trace.h"
 #include "storage/wal.h"
 
 namespace grnn::storage {
+
+namespace {
+
+// Buffered-frame pins the calling thread holds, over every pool.
+thread_local size_t t_pins_held = 0;
+
+}  // namespace
+
+PageGuard::PageGuard(BufferPool* pool, size_t shard, size_t frame,
+                     PageId page_id, uint8_t* data,
+                     std::unique_ptr<uint8_t[]> owned)
+    : pool_(pool),
+      shard_(shard),
+      frame_(frame),
+      page_id_(page_id),
+      data_(data),
+      owned_(std::move(owned)) {
+  if (frame_ != SIZE_MAX) {
+    t_pins_held++;
+  }
+}
 
 PageGuard::PageGuard(PageGuard&& other) noexcept
     : pool_(other.pool_),
@@ -55,6 +75,7 @@ void PageGuard::Release() {
   if (pool_ != nullptr && data_ != nullptr) {
     if (frame_ != SIZE_MAX) {
       pool_->Unpin(shard_, frame_, /*dirty=*/false);
+      t_pins_held--;
     } else if (dirty_passthrough_) {
       // Unbuffered write-through.
       pool_->CountPassthroughWrite(page_id_, data_);
@@ -100,71 +121,68 @@ Result<PageGuard> BufferPool::Acquire(PageId id) {
     trace->Note("page.pins", 1);
   }
   Shard& shard = *shards_[ShardOf(id)];
-  // Sharding makes all-frames-pinned a TRANSIENT per-shard condition:
-  // concurrent callers briefly pinning distinct pages of one small
-  // shard must not surface as errors the way genuine pool exhaustion
-  // (long-held pins over every frame) does. Bounded retry absorbs the
-  // transient case; the error survives for the genuine one.
-  constexpr int kPinRetries = 256;
-  for (int attempt = 0;; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (attempt == 0) {
-        shard.stats.logical_reads++;
-      }
+  std::unique_lock<std::mutex> lock(shard.mu);
+  shard.stats.logical_reads++;
 
-      if (capacity_ == 0) {
-        // Unbuffered mode: every access faults into a private buffer.
-        obs::ScopedSpan miss(trace, "page.miss");
-        shard.stats.physical_reads++;
-        auto buf = std::make_unique<uint8_t[]>(disk_->page_size());
-        GRNN_RETURN_NOT_OK(disk_->ReadPage(id, buf.get()));
-        uint8_t* raw = buf.get();
-        return PageGuard(this, 0, SIZE_MAX, id, raw, std::move(buf));
-      }
+  if (capacity_ == 0) {
+    // Unbuffered mode: every access faults into a private buffer.
+    obs::ScopedSpan miss(trace, "page.miss");
+    shard.stats.physical_reads++;
+    auto buf = std::make_unique<uint8_t[]>(disk_->page_size());
+    GRNN_RETURN_NOT_OK(disk_->ReadPage(id, buf.get()));
+    uint8_t* raw = buf.get();
+    return PageGuard(this, 0, SIZE_MAX, id, raw, std::move(buf));
+  }
 
-      auto it = shard.page_table.find(id);
-      if (it != shard.page_table.end()) {
-        Frame& f = shard.frames[it->second];
-        f.pins++;
-        if (policy_ == ReplacementPolicy::kLru) {
-          f.tick = ++shard.tick;
-        }
-        return PageGuard(this, ShardOf(id), it->second, id, f.data.get(),
-                         nullptr);
-      }
-
-      Result<size_t> victim_or = FindVictim(shard);
-      if (victim_or.ok()) {
-        obs::ScopedSpan miss(trace, "page.miss");
-        Frame& f = shard.frames[*victim_or];
-        if (f.page != kInvalidPage) {
-          if (f.dirty) {
-            GRNN_RETURN_NOT_OK(FlushWalBeforePageWrite());
-            shard.stats.physical_writes++;
-            GRNN_RETURN_NOT_OK(disk_->WritePage(f.page, f.data.get()));
-          }
-          shard.stats.evictions++;
-          shard.page_table.erase(f.page);
-        }
-        if (f.data == nullptr) {
-          f.data = std::make_unique<uint8_t[]>(disk_->page_size());
-        }
-        shard.stats.physical_reads++;
-        GRNN_RETURN_NOT_OK(disk_->ReadPage(id, f.data.get()));
-        f.page = id;
-        f.pins = 1;
-        f.dirty = false;
+  for (;;) {
+    auto it = shard.page_table.find(id);
+    if (it != shard.page_table.end()) {
+      Frame& f = shard.frames[it->second];
+      f.pins++;
+      if (policy_ == ReplacementPolicy::kLru) {
         f.tick = ++shard.tick;
-        shard.page_table[id] = *victim_or;
-        return PageGuard(this, ShardOf(id), *victim_or, id, f.data.get(),
-                         nullptr);
       }
-      if (attempt >= kPinRetries) {
-        return victim_or.status();
-      }
+      return PageGuard(this, ShardOf(id), it->second, id, f.data.get(),
+                       nullptr);
     }
-    std::this_thread::yield();
+
+    Result<size_t> victim_or = FindVictim(shard);
+    if (victim_or.ok()) {
+      obs::ScopedSpan miss(trace, "page.miss");
+      Frame& f = shard.frames[*victim_or];
+      if (f.page != kInvalidPage) {
+        if (f.dirty) {
+          GRNN_RETURN_NOT_OK(FlushWalBeforePageWrite());
+          shard.stats.physical_writes++;
+          GRNN_RETURN_NOT_OK(disk_->WritePage(f.page, f.data.get()));
+        }
+        shard.stats.evictions++;
+        shard.page_table.erase(f.page);
+      }
+      if (f.data == nullptr) {
+        f.data = std::make_unique<uint8_t[]>(disk_->page_size());
+      }
+      shard.stats.physical_reads++;
+      GRNN_RETURN_NOT_OK(disk_->ReadPage(id, f.data.get()));
+      f.page = id;
+      f.pins = 1;
+      f.dirty = false;
+      f.tick = ++shard.tick;
+      shard.page_table[id] = *victim_or;
+      return PageGuard(this, ShardOf(id), *victim_or, id, f.data.get(),
+                       nullptr);
+    }
+    // Every frame of the shard is pinned. A thread holding a pin could
+    // be waiting on itself, so it fails. One holding none waits: every
+    // Acquire call site in the library copies out of its frame and
+    // drops its guard before it takes the next one, so no pin holder
+    // ever waits here and each pin is released within its call.
+    if (t_pins_held > 0) {
+      return victim_or.status();
+    }
+    shard.waiters++;
+    shard.frame_unpinned.wait(lock);
+    shard.waiters--;
   }
 }
 
@@ -246,6 +264,9 @@ void BufferPool::Unpin(size_t shard_idx, size_t frame, bool dirty) {
   GRNN_DCHECK(f.pins > 0);
   f.pins--;
   f.dirty = f.dirty || dirty;
+  if (f.pins == 0 && shard.waiters > 0) {
+    shard.frame_unpinned.notify_all();
+  }
 }
 
 void BufferPool::MarkDirty(size_t shard_idx, size_t frame) {

@@ -19,11 +19,13 @@
 // Pins are short: every reader in the library (adjacency, label, KNN
 // and point scans) copies what it needs out of the frame and unpins
 // before its call returns, so num_pinned() is zero whenever no call is
-// in flight.
+// in flight. A full shard is therefore a transient state, and an
+// Acquire that holds no pin waits for a frame instead of failing.
 
 #ifndef GRNN_STORAGE_BUFFER_POOL_H_
 #define GRNN_STORAGE_BUFFER_POOL_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -88,14 +90,10 @@ class PageGuard {
 
  private:
   friend class BufferPool;
+  /// Counts a buffered frame's pin toward the calling thread's pins
+  /// (see BufferPool::Acquire); Release takes it back.
   PageGuard(BufferPool* pool, size_t shard, size_t frame, PageId page_id,
-            uint8_t* data, std::unique_ptr<uint8_t[]> owned)
-      : pool_(pool),
-        shard_(shard),
-        frame_(frame),
-        page_id_(page_id),
-        data_(data),
-        owned_(std::move(owned)) {}
+            uint8_t* data, std::unique_ptr<uint8_t[]> owned);
 
   BufferPool* pool_ = nullptr;
   size_t shard_ = 0;
@@ -140,11 +138,11 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
   ~BufferPool();
 
-  /// Pins page `id` and returns a guard over its bytes. Transient pin
-  /// contention on the page's shard is absorbed by a bounded internal
-  /// retry; ResourceExhausted only surfaces when the shard's frames
-  /// stay pinned across the whole retry window (with one shard: the
-  /// whole pool is genuinely pinned down).
+  /// Pins page `id` and returns a guard over its bytes. When every frame
+  /// of the page's shard is pinned, a thread that holds no pin of any
+  /// pool waits until one is released; a thread that holds a pin gets
+  /// ResourceExhausted at once, since it could be waiting on itself.
+  /// Guards must be released on the thread that acquired them.
   Result<PageGuard> Acquire(PageId id);
 
   /// Writes back all dirty resident pages.
@@ -203,6 +201,9 @@ class BufferPool {
   /// mapping here, guarded by its own mutex.
   struct Shard {
     mutable std::mutex mu;
+    /// Signalled when a frame's last pin drops while `waiters` > 0.
+    std::condition_variable frame_unpinned;
+    size_t waiters = 0;
     std::vector<Frame> frames;
     std::unordered_map<PageId, size_t> page_table;
     uint64_t tick = 0;

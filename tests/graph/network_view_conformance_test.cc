@@ -1,8 +1,7 @@
 // NetworkView conformance suite (PR 4): every implementation of the
-// cursor Scan API must produce identical scans — GraphView (CSR),
-// StoredGraph over the v1 packed layout, and StoredGraph over the v2
-// aligned layout behind a 64-frame pool, a 4-frame pool and an
-// unbuffered pool. On top of scan equality, the suite enforces the pin
+// cursor Scan API must produce identical scans — GraphView (CSR) and
+// StoredGraph behind a 64-frame pool, a 4-frame pool and an unbuffered
+// pool. On top of scan equality, the suite enforces the pin
 // discipline: no buffer-pool pin survives a single Scan, early-exit and
 // nested-cursor paths included, and no pin survives an engine query.
 
@@ -63,10 +62,9 @@ Graph TestGraph(uint64_t seed) {
 
 enum class ViewKind {
   kGraphView,
-  kStoredV1,
-  kStoredV2,          // 64-frame pool
-  kStoredV2TinyPool,  // 4-frame pool
-  kStoredV2Unbuffered,
+  kStored,          // 64-frame pool
+  kStoredTinyPool,  // 4-frame pool
+  kStoredUnbuffered,
 };
 
 struct ViewEnv {
@@ -94,16 +92,12 @@ ViewEnv MakeEnv(ViewKind kind, const Graph& g) {
   }
   // Small pages so multi-page lists actually occur in the fixture.
   env.disk = std::make_unique<storage::MemoryDiskManager>(256);
-  storage::GraphFileOptions opts;
-  opts.layout = kind == ViewKind::kStoredV1
-                    ? storage::PageLayout::kV1Packed
-                    : storage::PageLayout::kV2Aligned;
   env.file = std::make_unique<storage::GraphFile>(
-      storage::GraphFile::Build(g, env.disk.get(), opts).ValueOrDie());
+      storage::GraphFile::Build(g, env.disk.get()).ValueOrDie());
   size_t capacity = 64;
-  if (kind == ViewKind::kStoredV2TinyPool) {
+  if (kind == ViewKind::kStoredTinyPool) {
     capacity = 4;
-  } else if (kind == ViewKind::kStoredV2Unbuffered) {
+  } else if (kind == ViewKind::kStoredUnbuffered) {
     capacity = 0;  // every acquire is a private copy
   }
   env.pool = std::make_unique<storage::BufferPool>(env.disk.get(),
@@ -208,28 +202,25 @@ TEST_P(NetworkViewConformanceTest, EveryQueryLeavesThePoolUnpinned) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllViews, NetworkViewConformanceTest,
-    ::testing::Values(ViewKind::kGraphView, ViewKind::kStoredV1,
-                      ViewKind::kStoredV2,
-                      ViewKind::kStoredV2TinyPool,
-                      ViewKind::kStoredV2Unbuffered),
+    ::testing::Values(ViewKind::kGraphView, ViewKind::kStored,
+                      ViewKind::kStoredTinyPool,
+                      ViewKind::kStoredUnbuffered),
     [](const auto& info) {
       switch (info.param) {
         case ViewKind::kGraphView:
           return "GraphView";
-        case ViewKind::kStoredV1:
-          return "StoredV1";
-        case ViewKind::kStoredV2:
-          return "StoredV2";
-        case ViewKind::kStoredV2TinyPool:
-          return "StoredV2TinyPool";
+        case ViewKind::kStored:
+          return "Stored";
+        case ViewKind::kStoredTinyPool:
+          return "StoredTinyPool";
         default:
-          return "StoredV2Unbuffered";
+          return "StoredUnbuffered";
       }
     });
 
 // 40-node circulant graph, degree 24: each adjacency list fills more
-// than half of a 512-byte page under either layout, so (with boundary
-// padding) every node owns exactly one page — 40 single-page lists.
+// than half of a 512-byte page, so (with boundary padding) every node
+// owns exactly one page — 40 single-page lists.
 Graph CirculantGraph() {
   std::vector<Edge> edges;
   const NodeId n = 40;
@@ -250,35 +241,28 @@ Graph CirculantGraph() {
 // pinned, the 33rd scan would find every frame pinned.
 TEST(NetworkViewPinPressure, LiveCursorsOutnumberingFramesHoldNoPins) {
   const Graph g = CirculantGraph();
-  for (storage::PageLayout layout :
-       {storage::PageLayout::kV1Packed, storage::PageLayout::kV2Aligned}) {
-    SCOPED_TRACE(storage::PageLayoutName(layout));
-    storage::MemoryDiskManager disk(512);
-    storage::GraphFileOptions opts;
-    opts.layout = layout;
-    auto file = storage::GraphFile::Build(g, &disk, opts).ValueOrDie();
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(file.PagesSpanned(v), 1u) << "node " << v;
-    }
-    storage::BufferPool pool(&disk, 32, storage::ReplacementPolicy::kLru,
-                             1);
-    storage::StoredGraph view(&file, &pool);
+  storage::MemoryDiskManager disk(512);
+  auto file = storage::GraphFile::Build(g, &disk).ValueOrDie();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    ASSERT_EQ(file.PagesSpanned(v), 1u) << "node " << v;
+  }
+  storage::BufferPool pool(&disk, 32, storage::ReplacementPolicy::kLru, 1);
+  storage::StoredGraph view(&file, &pool);
 
-    std::vector<NeighborCursor> cursors(g.num_nodes());
-    std::vector<std::span<const AdjEntry>> spans;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      auto span = view.Scan(v, cursors[v]);
-      ASSERT_TRUE(span.ok()) << "node " << v << ": "
-                             << span.status().ToString();
-      EXPECT_EQ(pool.num_pinned(), 0u) << "node " << v;
-      spans.push_back(*span);
-    }
-    // Every span is still live and still right.
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_TRUE(std::equal(spans[v].begin(), spans[v].end(),
-                             g.Neighbors(v).begin(), g.Neighbors(v).end()))
-          << "node " << v;
-    }
+  std::vector<NeighborCursor> cursors(g.num_nodes());
+  std::vector<std::span<const AdjEntry>> spans;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    auto span = view.Scan(v, cursors[v]);
+    ASSERT_TRUE(span.ok()) << "node " << v << ": "
+                           << span.status().ToString();
+    EXPECT_EQ(pool.num_pinned(), 0u) << "node " << v;
+    spans.push_back(*span);
+  }
+  // Every span is still live and still right.
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_TRUE(std::equal(spans[v].begin(), spans[v].end(),
+                           g.Neighbors(v).begin(), g.Neighbors(v).end()))
+        << "node " << v;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -106,6 +107,61 @@ TEST_F(BufferPoolShardTest, ExhaustionIsPerShard) {
   EXPECT_TRUE(pool.Acquire(4).ok());
 }
 
+TEST_F(BufferPoolShardTest, PinFreeAcquireWaitsForATransientPin) {
+  // 2 shards x 1 frame: pages 0 and 2 share shard 0's only frame.
+  BufferPool pool(disk_.get(), 2, ReplacementPolicy::kLru, 2);
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> released{false};
+  std::thread holder([&] {
+    auto g = pool.Acquire(0).ValueOrDie();
+    pinned.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    released.store(true);
+  });
+  while (!pinned.load()) {
+    std::this_thread::yield();
+  }
+  // This thread holds no pin, so it waits out the holder's instead of
+  // failing with ResourceExhausted.
+  auto b = pool.Acquire(2);
+  EXPECT_TRUE(released.load());
+  holder.join();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(b->data()[0], 2);
+  b->Release();
+  EXPECT_EQ(pool.num_pinned(), 0u);
+}
+
+TEST_F(BufferPoolShardTest, OneFrameShardsServeEveryConcurrentReader) {
+  // 8 threads over 8 one-frame shards: nearly every read finds its
+  // shard's frame pinned by another thread for a moment.
+  BufferPool pool(disk_.get(), 8, ReplacementPolicy::kLru, 8);
+  ASSERT_EQ(pool.num_shards(), 8u);
+  constexpr int kThreads = 8;
+  constexpr int kReads = 2000;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) * 31 + 7);
+      for (int i = 0; i < kReads; ++i) {
+        const PageId id = static_cast<PageId>(rng.UniformInt(32));
+        auto g = pool.Acquire(id);
+        if (!g.ok() || g->data()[0] != id) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(pool.num_pinned(), 0u);
+  EXPECT_EQ(pool.stats().logical_reads,
+            static_cast<uint64_t>(kThreads) * kReads);
+}
+
 TEST_F(BufferPoolShardTest, DirtyPagesFlushFromEveryShard) {
   BufferPool pool(disk_.get(), 6, ReplacementPolicy::kLru, 3);
   for (PageId id = 10; id < 13; ++id) {  // one page per shard
@@ -145,9 +201,10 @@ TEST_F(BufferPoolShardTest, MultithreadedHammerKeepsListsIntact) {
   // 5 lists of 48 bytes per 256-byte page: the file spans ~52 pages,
   // far more than the shard count, so traffic spreads over every shard.
   // 16 frames over 8 shards (2 per shard) keeps eviction traffic
-  // constant and makes transient per-shard pin contention frequent —
-  // Acquire's internal bounded retry must absorb all of it (a
-  // ResourceExhausted surfacing here is a failure).
+  // constant and makes transient per-shard pin contention frequent.
+  // KnnFile holds at most one pin at a time, so a full shard makes its
+  // Acquire wait for a frame (a ResourceExhausted surfacing here is a
+  // failure).
   BufferPool pool(disk.get(), 16, ReplacementPolicy::kLru,
                   kDefaultConcurrentShards);
   ASSERT_GT(file.num_pages(), pool.num_shards());

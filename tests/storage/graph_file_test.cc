@@ -8,7 +8,6 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -47,6 +46,32 @@ graph::Graph RandomGraph(NodeId n, double p, uint64_t seed) {
   return graph::Graph::FromEdges(n, edges).ValueOrDie();
 }
 
+// Hub 0 with 50 leaves at distinct weights. A 128-byte page holds 10 2/3
+// records, so the hub's list splits records at page boundaries.
+graph::Graph Star() {
+  std::vector<Edge> edges;
+  for (NodeId leaf = 1; leaf <= 50; ++leaf) {
+    edges.push_back({0, leaf, 0.5 * leaf});
+  }
+  return graph::Graph::FromEdges(51, edges).ValueOrDie();
+}
+
+// FNV-1a 64 over every page of `file`, in page order.
+uint64_t HashPages(DiskManager& disk, const GraphFile& file) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  std::vector<uint8_t> page(disk.page_size());
+  for (size_t i = 0; i < file.num_pages(); ++i) {
+    EXPECT_TRUE(
+        disk.ReadPage(file.first_page() + static_cast<PageId>(i), page.data())
+            .ok());
+    for (uint8_t b : page) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
 // Scans through a fresh cursor and materializes the span.
 std::vector<AdjEntry> ScanList(const GraphFile& file, BufferPool* pool,
                                NodeId n) {
@@ -56,29 +81,18 @@ std::vector<AdjEntry> ScanList(const GraphFile& file, BufferPool* pool,
   return {span->begin(), span->end()};
 }
 
-const char* LayoutSuffix(PageLayout layout) {
-  return layout == PageLayout::kV1Packed ? "V1" : "V2";
-}
-
-class GraphFileTest
-    : public ::testing::TestWithParam<std::tuple<NodeOrder, PageLayout>> {
- protected:
-  NodeOrder order() const { return std::get<0>(GetParam()); }
-  PageLayout layout() const { return std::get<1>(GetParam()); }
-};
+class GraphFileTest : public ::testing::TestWithParam<NodeOrder> {};
 
 TEST_P(GraphFileTest, RoundTripsAdjacency) {
   auto g = PaperFig3();
   MemoryDiskManager disk(128);
   GraphFileOptions opts;
-  opts.order = order();
-  opts.layout = layout();
+  opts.order = GetParam();
   auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
   BufferPool pool(&disk, 8);
 
   EXPECT_EQ(file.num_nodes(), g.num_nodes());
   EXPECT_EQ(file.num_edges(), g.num_edges());
-  EXPECT_EQ(file.layout(), layout());
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     auto nbrs = ScanList(file, &pool, n);
     auto want = g.Neighbors(n);
@@ -91,54 +105,36 @@ TEST_P(GraphFileTest, RoundTripsAdjacency) {
   EXPECT_EQ(pool.num_pinned(), 0u);  // ScanList's cursors are gone
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOrdersAndLayouts, GraphFileTest,
-    ::testing::Combine(::testing::Values(NodeOrder::kBfs,
-                                         NodeOrder::kNatural,
-                                         NodeOrder::kRandom),
-                       ::testing::Values(PageLayout::kV1Packed,
-                                         PageLayout::kV2Aligned)),
-    [](const auto& info) {
-      std::string name;
-      switch (std::get<0>(info.param)) {
-        case NodeOrder::kBfs:
-          name = "Bfs";
-          break;
-        case NodeOrder::kNatural:
-          name = "Natural";
-          break;
-        default:
-          name = "Random";
-          break;
-      }
-      return name + LayoutSuffix(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(AllOrders, GraphFileTest,
+                         ::testing::Values(NodeOrder::kBfs,
+                                           NodeOrder::kNatural,
+                                           NodeOrder::kRandom),
+                         [](const auto& info) -> std::string {
+                           switch (info.param) {
+                             case NodeOrder::kBfs:
+                               return "Bfs";
+                             case NodeOrder::kNatural:
+                               return "Natural";
+                             default:
+                               return "Random";
+                           }
+                         });
 
-class GraphFileLayoutTest : public ::testing::TestWithParam<PageLayout> {};
-
-TEST_P(GraphFileLayoutTest, DegreesMatch) {
+TEST(GraphFileBasicTest, DegreesMatch) {
   auto g = PaperFig3();
   MemoryDiskManager disk(128);
-  GraphFileOptions opts;
-  opts.layout = GetParam();
-  auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
+  auto file = GraphFile::Build(g, &disk).ValueOrDie();
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     EXPECT_EQ(file.Degree(n), g.Degree(n));
   }
 }
 
-TEST_P(GraphFileLayoutTest, PaddedListsDoNotStraddlePages) {
-  // 128-byte page: v1 holds 10 packed 12-byte entries, v2 holds 7
-  // aligned records behind the 16-byte header.
+TEST(GraphFileBasicTest, PaddedListsDoNotStraddlePages) {
+  // A 128-byte page holds 10 packed 12-byte entries.
   auto g = RandomGraph(40, 0.2, 11);
   MemoryDiskManager disk(128);
-  GraphFileOptions opts;
-  opts.layout = GetParam();
-  auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
-  const size_t max_per_page =
-      GetParam() == PageLayout::kV1Packed
-          ? 128 / kAdjEntryBytes
-          : (128 - kV2HeaderBytes) / kV2RecordBytes;
+  auto file = GraphFile::Build(g, &disk).ValueOrDie();
+  const size_t max_per_page = 128 / kAdjEntryBytes;
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     if (g.Degree(n) > 0 && g.Degree(n) <= max_per_page) {
       EXPECT_EQ(file.PagesSpanned(n), 1u) << "node " << n;
@@ -146,45 +142,52 @@ TEST_P(GraphFileLayoutTest, PaddedListsDoNotStraddlePages) {
   }
 }
 
-TEST_P(GraphFileLayoutTest, HugeListSpansMultiplePages) {
-  // Star graph: hub 0 with 50 leaves; a 128-byte page holds at most 10
-  // (v1) / 7 (v2) entries.
-  std::vector<Edge> edges;
-  for (NodeId leaf = 1; leaf <= 50; ++leaf) {
-    edges.push_back({0, leaf, 1.0});
-  }
-  auto g = graph::Graph::FromEdges(51, edges).ValueOrDie();
+TEST(GraphFileBasicTest, HugeListSpansMultiplePages) {
+  // The star's hub list fills five pages, and some of its records
+  // straddle a page boundary; each must decode whole.
+  auto g = Star();
   MemoryDiskManager disk(128);
-  GraphFileOptions opts;
-  opts.layout = GetParam();
-  auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
+  auto file = GraphFile::Build(g, &disk).ValueOrDie();
   EXPECT_GE(file.PagesSpanned(0), 5u);
 
   BufferPool pool(&disk, 16);
   auto nbrs = ScanList(file, &pool, 0);
-  EXPECT_EQ(nbrs.size(), 50u);
-  // All leaves present.
-  std::vector<bool> seen(51, false);
-  for (const AdjEntry& a : nbrs) {
-    seen[a.node] = true;
-  }
-  for (NodeId leaf = 1; leaf <= 50; ++leaf) {
-    EXPECT_TRUE(seen[leaf]);
+  auto want = g.Neighbors(0);
+  ASSERT_EQ(nbrs.size(), want.size());
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    EXPECT_EQ(nbrs[i], want[i]) << "entry " << i;
   }
   EXPECT_EQ(pool.num_pinned(), 0u);
 }
 
-TEST_P(GraphFileLayoutTest, IsolatedNodeReadsEmpty) {
+TEST(GraphFileBasicTest, PageBytesAreStable) {
+  // The on-disk bytes are the format: any writer change that moves one
+  // fails here. FNV-1a 64 over every page, in page order.
+  {
+    auto g = Star();
+    MemoryDiskManager disk(128);
+    auto file = GraphFile::Build(g, &disk).ValueOrDie();
+    EXPECT_EQ(file.num_pages(), 10u);
+    EXPECT_EQ(HashPages(disk, file), 0x153695a9e781d93eull);
+  }
+  {
+    auto g = RandomGraph(60, 0.1, 23);
+    MemoryDiskManager disk(256);
+    auto file = GraphFile::Build(g, &disk).ValueOrDie();
+    EXPECT_EQ(file.num_pages(), 19u);
+    EXPECT_EQ(HashPages(disk, file), 0x4577ca7f7507c5e9ull);
+  }
+}
+
+TEST(GraphFileBasicTest, IsolatedNodeReadsEmpty) {
   auto g = graph::Graph::FromEdges(3, {{0, 1, 1.0}}).ValueOrDie();
   MemoryDiskManager disk(128);
-  GraphFileOptions opts;
-  opts.layout = GetParam();
-  auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
+  auto file = GraphFile::Build(g, &disk).ValueOrDie();
   BufferPool pool(&disk, 4);
   EXPECT_TRUE(ScanList(file, &pool, 2).empty());
 }
 
-TEST_P(GraphFileLayoutTest, BfsOrderUsesFewerPagesThanRandomForWalk) {
+TEST(GraphFileBasicTest, BfsOrderUsesFewerPagesThanRandomForWalk) {
   // Locality check: reading nodes in BFS-neighborhood order should fault
   // less with BFS packing than with random packing on a path graph.
   std::vector<Edge> edges;
@@ -198,7 +201,6 @@ TEST_P(GraphFileLayoutTest, BfsOrderUsesFewerPagesThanRandomForWalk) {
     MemoryDiskManager disk(128);
     GraphFileOptions opts;
     opts.order = order;
-    opts.layout = GetParam();
     auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
     BufferPool pool(&disk, 4);
     graph::NeighborCursor cursor;
@@ -212,12 +214,10 @@ TEST_P(GraphFileLayoutTest, BfsOrderUsesFewerPagesThanRandomForWalk) {
             count_faults(NodeOrder::kRandom) / 2);
 }
 
-TEST_P(GraphFileLayoutTest, ReadOutOfRangeNodeFails) {
+TEST(GraphFileBasicTest, ReadOutOfRangeNodeFails) {
   auto g = PaperFig3();
   MemoryDiskManager disk(128);
-  GraphFileOptions opts;
-  opts.layout = GetParam();
-  auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
+  auto file = GraphFile::Build(g, &disk).ValueOrDie();
   BufferPool pool(&disk, 4);
   graph::NeighborCursor cursor;
   EXPECT_TRUE(
@@ -231,51 +231,37 @@ std::vector<uint8_t> BytesOf(T value) {
   return bytes;
 }
 
-// One overwrite of a graph file's first page.
+// One overwrite of the first record on a graph file's first page.
 struct PageFlip {
   const char* name;
   size_t offset;  // from the page start
   std::vector<uint8_t> bytes;
-  bool header;  // hits every list on the page, not one record
 };
 
-// The flips that apply to `layout`: the first record's neighbor id and
-// weight, and on v2 the page header's magic and entry count.
-std::vector<PageFlip> FlipsFor(PageLayout layout, NodeId num_nodes) {
-  const bool v1 = layout == PageLayout::kV1Packed;
-  const size_t record = v1 ? 0 : kV2HeaderBytes;
-  const size_t weight =
-      record + (v1 ? sizeof(uint32_t) : offsetof(AdjEntry, weight));
-  std::vector<PageFlip> flips = {
-      {"IdFarOutOfRange", record, BytesOf<uint32_t>(0x00ffff00u), false},
-      {"IdOnePastTheEnd", record, BytesOf<uint32_t>(num_nodes), false},
-      {"NegativeWeight", weight, BytesOf<double>(-1.0), false},
-      {"ZeroWeight", weight, BytesOf<double>(0.0), false},
-      {"NanWeight", weight,
-       BytesOf<double>(std::numeric_limits<double>::quiet_NaN()), false},
-      {"InfiniteWeight", weight,
-       BytesOf<double>(std::numeric_limits<double>::infinity()), false},
+// Flips of the first record's neighbor id and weight.
+std::vector<PageFlip> Flips(NodeId num_nodes) {
+  constexpr size_t kWeight = sizeof(uint32_t);
+  return {
+      {"IdFarOutOfRange", 0, BytesOf<uint32_t>(0x00ffff00u)},
+      {"IdOnePastTheEnd", 0, BytesOf<uint32_t>(num_nodes)},
+      {"NegativeWeight", kWeight, BytesOf<double>(-1.0)},
+      {"ZeroWeight", kWeight, BytesOf<double>(0.0)},
+      {"NanWeight", kWeight,
+       BytesOf<double>(std::numeric_limits<double>::quiet_NaN())},
+      {"InfiniteWeight", kWeight,
+       BytesOf<double>(std::numeric_limits<double>::infinity())},
   };
-  if (!v1) {
-    flips.push_back({"BadMagic", offsetof(V2PageHeader, magic),
-                     BytesOf<uint32_t>(0), true});
-    flips.push_back({"ShortEntryCount", offsetof(V2PageHeader, entry_count),
-                     BytesOf<uint32_t>(0), true});
-  }
-  return flips;
 }
 
-TEST_P(GraphFileLayoutTest, CorruptRecordsFailScansAndQueries) {
+TEST(GraphFileBasicTest, CorruptRecordsFailScansAndQueries) {
   gen::GridConfig grid;
   grid.rows = 16;
   grid.cols = 16;
   const graph::Graph g = gen::GenerateGrid(grid).ValueOrDie();
-  for (const PageFlip& flip : FlipsFor(GetParam(), g.num_nodes())) {
+  for (const PageFlip& flip : Flips(g.num_nodes())) {
     SCOPED_TRACE(flip.name);
     MemoryDiskManager disk(512);
-    GraphFileOptions opts;
-    opts.layout = GetParam();
-    auto file = GraphFile::Build(g, &disk, opts).ValueOrDie();
+    auto file = GraphFile::Build(g, &disk).ValueOrDie();
     std::vector<uint8_t> page(disk.page_size());
     ASSERT_TRUE(disk.ReadPage(file.first_page(), page.data()).ok());
     std::memcpy(page.data() + flip.offset, flip.bytes.data(),
@@ -295,10 +281,7 @@ TEST_P(GraphFileLayoutTest, CorruptRecordsFailScansAndQueries) {
       }
     }
     EXPECT_EQ(pool.num_pinned(), 0u);
-    ASSERT_FALSE(failing.empty());
-    if (!flip.header) {
-      EXPECT_EQ(failing.size(), 1u);
-    }
+    ASSERT_EQ(failing.size(), 1u);
 
     // An engine query that reaches the list ends in a Status instead of
     // indexing its arrays with the flipped id or summing a bad weight.
@@ -324,33 +307,10 @@ TEST_P(GraphFileLayoutTest, CorruptRecordsFailScansAndQueries) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Layouts, GraphFileLayoutTest,
-                         ::testing::Values(PageLayout::kV1Packed,
-                                           PageLayout::kV2Aligned),
-                         [](const auto& info) {
-                           return LayoutSuffix(info.param);
-                         });
-
-TEST(GraphFileBasicTest, V1AndV2ServeIdenticalLists) {
-  auto g = RandomGraph(60, 0.1, 23);
-  MemoryDiskManager disk(256);
-  GraphFileOptions opts;
-  opts.layout = PageLayout::kV1Packed;
-  auto v1 = GraphFile::Build(g, &disk, opts).ValueOrDie();
-  opts.layout = PageLayout::kV2Aligned;
-  auto v2 = GraphFile::Build(g, &disk, opts).ValueOrDie();
-  BufferPool pool(&disk, 32);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(ScanList(v1, &pool, u), ScanList(v2, &pool, u))
-        << "node " << u;
-  }
-}
-
-TEST(GraphFileBasicTest, V2SinglePageScansHoldNoPin) {
+TEST(GraphFileBasicTest, SinglePageScansHoldNoPin) {
   auto g = RandomGraph(60, 0.1, 23);
   MemoryDiskManager disk(4096);
   auto file = GraphFile::Build(g, &disk, {}).ValueOrDie();
-  ASSERT_EQ(file.layout(), PageLayout::kV2Aligned);
   // 64 frames, one shard: room to keep a pin per cursor, yet a list on
   // one page is copied into the cursor and unpinned like any other.
   BufferPool pool(&disk, 64);
