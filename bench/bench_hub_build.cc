@@ -68,8 +68,6 @@ const char* OrderName(index::HubOrder order) {
   switch (order) {
     case index::HubOrder::kDegreeDesc:
       return "degree";
-    case index::HubOrder::kRandom:
-      return "random";
     case index::HubOrder::kPartition:
       return "partition";
     case index::HubOrder::kBetweennessApprox:

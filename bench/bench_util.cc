@@ -282,7 +282,7 @@ Result<FourWay> RunFourWayRestricted(
         out.m[slot],
         RunWorkload(env.pool.get(), queries.size(),
                     [&](size_t i) -> Result<size_t> {
-                      // Run (not RunBatch): the paper charges each query
+                      // One Run per query: the paper charges each query
                       // a cold buffer pool, which RunWorkload enforces
                       // between calls; workspace reuse still applies.
                       GRNN_ASSIGN_OR_RETURN(

@@ -8,7 +8,7 @@
 // Because the subset is defined per query, materialization is impossible
 // and the paper compares eager vs lazy (Table 1).
 //
-// Build & run:  ./build/examples/coauthor_influence [num_papers]
+// Build & run:  ./build/coauthor_influence [num_papers]
 
 #include <cstdio>
 #include <cstdlib>
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       std::printf("    author %u at separation %g\n",
                   eager.results[i].node, eager.results[i].dist);
     }
-    if (eager.results.size() != lazy.results.size()) {
+    if (eager.results != lazy.results) {
       std::fprintf(stderr, "  MISMATCH between eager and lazy!\n");
       return 1;
     }

@@ -3,9 +3,11 @@
 // A BRITE-like overlay network hosts peers interested in some content. A
 // new peer q joins; RkNN(q) tells q which existing peers now have q as
 // one of their k closest peers -- exactly the peers that should redirect
-// future requests to q, and an estimate of q's future workload.
+// future requests to q, and an estimate of q's future workload. Brute
+// force then answers the same query; if it disagrees, the example prints
+// MISMATCH and exits 1.
 //
-// Build & run:  ./build/examples/p2p_discovery [num_nodes] [k]
+// Build & run:  ./build/p2p_discovery [num_nodes] [k]
 
 #include <cstdio>
 #include <cstdlib>
@@ -72,11 +74,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.stats.range_nn_calls),
               static_cast<unsigned long long>(result.stats.verify_calls));
 
-  // --- Contrast: the naive approach visits every peer.
+  // --- Contrast: the naive approach visits every peer, and must find
+  // the same peers at the same distances.
   auto naive = engine
                    .Run(core::QuerySpec::Monochromatic(
                        core::Algorithm::kBruteForce, join_node, k))
                    .ValueOrDie();
+  if (naive.results != result.results) {
+    std::fprintf(stderr,
+                 "MISMATCH: brute force finds %zu peers, eager %zu\n",
+                 naive.results.size(), result.results.size());
+    return 1;
+  }
   std::printf("(brute force agrees: %zu peers)\n", naive.results.size());
   return 0;
 }

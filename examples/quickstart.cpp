@@ -3,11 +3,14 @@
 //
 // The graph is the paper's running example (Fig 3): seven nodes n1..n7,
 // data points p1@n6, p2@n5, p3@n7, and a query issued at the empty
-// junction n4. The walkthrough in Section 3.2 derives RNN(q) = {p1, p2}.
+// junction n4. The walkthrough in Section 3.2 derives RNN(q) = {p1, p2};
+// every algorithm must return exactly that, or the example prints
+// MISMATCH and exits 1.
 //
 // Build & run:  ./build/quickstart
 
 #include <cstdio>
+#include <vector>
 
 #include "core/engine.h"
 #include "graph/network_view.h"
@@ -49,8 +52,11 @@ int main() {
   auto engine = core::RknnEngine::Create(sources).ValueOrDie();
 
   // --- 4. Single RNN query at n4 with each algorithm: one QuerySpec,
-  // one entry point.
+  // one entry point. Section 3.2's answer: p1 (node n6) at distance 7
+  // and p2 (node n5) at distance 8.
   const NodeId query_node = 3;
+  const std::vector<core::PointMatch> section_3_2 = {{0, 5, 7.0},
+                                                     {1, 4, 8.0}};
   for (core::Algorithm algo :
        {core::Algorithm::kEager, core::Algorithm::kEagerM,
         core::Algorithm::kLazy, core::Algorithm::kLazyEp,
@@ -68,6 +74,11 @@ int main() {
     std::printf("}  [%llu nodes expanded, %llu verifications]\n",
                 static_cast<unsigned long long>(result.stats.nodes_expanded),
                 static_cast<unsigned long long>(result.stats.verify_calls));
+    if (result.results != section_3_2) {
+      std::fprintf(stderr, "MISMATCH: %s disagrees with Section 3.2\n",
+                   core::AlgorithmName(algo));
+      return 1;
+    }
   }
 
   // --- 5. RkNN with k = 2: one more neighbor may be closer.
@@ -81,23 +92,26 @@ int main() {
   }
   std::printf("}\n");
 
-  // --- 6. Batched execution: one query per node, one call. The engine
-  // reuses its search workspace across the whole batch.
-  std::vector<core::QuerySpec> specs;
-  for (NodeId n = 0; n < network.num_nodes(); ++n) {
-    specs.push_back(
-        core::QuerySpec::Monochromatic(core::Algorithm::kLazy, n));
-  }
-  auto batch = engine.RunBatch(specs).ValueOrDie();
+  // --- 6. One query per node. Every Run leases the engine's pooled
+  // search workspace, so once it is warm later queries allocate nothing;
+  // the engine's lifetime counters show it.
+  const core::EngineStats before = engine.lifetime_stats();
   size_t total = 0;
-  for (const auto& r : batch.results) {
-    total += r.results.size();
+  for (NodeId n = 0; n < network.num_nodes(); ++n) {
+    total += engine
+                 .Run(core::QuerySpec::Monochromatic(core::Algorithm::kLazy,
+                                                     n))
+                 .ValueOrDie()
+                 .results.size();
   }
+  const core::EngineStats after = engine.lifetime_stats();
   std::printf(
-      "batch of %llu queries: %zu results, %llu nodes expanded, "
+      "%llu queries, one per node: %zu results, %llu nodes expanded, "
       "%llu workspace growths\n",
-      static_cast<unsigned long long>(batch.stats.queries), total,
-      static_cast<unsigned long long>(batch.stats.search.nodes_expanded),
-      static_cast<unsigned long long>(batch.stats.workspace_grows));
+      static_cast<unsigned long long>(after.queries - before.queries), total,
+      static_cast<unsigned long long>(after.search.nodes_expanded -
+                                      before.search.nodes_expanded),
+      static_cast<unsigned long long>(after.workspace_grows -
+                                      before.workspace_grows));
   return 0;
 }

@@ -4,12 +4,15 @@
 // (set Q). For a proposed new restaurant location q, bRNN(q) returns the
 // blocks that would be closer to q than to every existing competitor --
 // the expected customer base. The example compares several candidate
-// sites and picks the one attracting the most blocks.
+// sites and picks the one attracting the most blocks, then checks the
+// winner's answer with a second algorithm (MISMATCH and exit 1 if the
+// two disagree).
 //
-// Build & run:  ./build/examples/restaurant_placement [num_nodes]
+// Build & run:  ./build/restaurant_placement [num_nodes]
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "core/engine.h"
 #include "gen/points.h"
@@ -64,44 +67,45 @@ int main(int argc, char** argv) {
   auto engine = core::RknnEngine::Create(sources).ValueOrDie();
 
   std::printf("\ncandidate sites (bichromatic RNN = blocks captured):\n");
-  std::vector<NodeId> candidates;
-  std::vector<core::QuerySpec> specs;
-  while (candidates.size() < 5) {
+  NodeId best_site = kInvalidNode;
+  core::RknnResult best;
+  int evaluated = 0;
+  while (evaluated < 5) {
     NodeId site = static_cast<NodeId>(rng.UniformInt(net.g.num_nodes()));
     if (restaurants.Contains(site)) {
       continue;
     }
-    candidates.push_back(site);
-    specs.push_back(
-        core::QuerySpec::Bichromatic(core::Algorithm::kEagerM, site));
-  }
-  // One batched call evaluates every candidate site.
-  auto batch = engine.RunBatch(specs).ValueOrDie();
-
-  NodeId best_site = kInvalidNode;
-  size_t best_blocks = 0;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const NodeId site = candidates[c];
-    const auto& captured = batch.results[c];
+    ++evaluated;
+    auto captured = engine
+                        .Run(core::QuerySpec::Bichromatic(
+                            core::Algorithm::kEagerM, site))
+                        .ValueOrDie();
     std::printf("  site @ node %6u (%.0f, %.0f): captures %zu blocks "
                 "[%llu nodes expanded]\n",
                 site, net.coords[site].first, net.coords[site].second,
                 captured.results.size(),
                 static_cast<unsigned long long>(
                     captured.stats.nodes_expanded));
-    if (captured.results.size() >= best_blocks) {
-      best_blocks = captured.results.size();
+    if (captured.results.size() >= best.results.size()) {
       best_site = site;
+      best = std::move(captured);
     }
   }
   std::printf("\nbest site: node %u with %zu captured blocks\n", best_site,
-              best_blocks);
+              best.results.size());
 
-  // --- Cross-check the winner with the non-materialized algorithm.
+  // --- Cross-check the winner with the non-materialized algorithm: the
+  // same blocks at the same distances.
   auto check = engine
                    .Run(core::QuerySpec::Bichromatic(
                        core::Algorithm::kEager, best_site))
                    .ValueOrDie();
+  if (check.results != best.results) {
+    std::fprintf(stderr,
+                 "MISMATCH: eager captures %zu blocks, eager-M %zu\n",
+                 check.results.size(), best.results.size());
+    return 1;
+  }
   std::printf("(eager bichromatic agrees: %zu blocks)\n",
               check.results.size());
   return 0;

@@ -4,9 +4,11 @@
 // (customers) sit on the edges (unrestricted network, Section 5.2). The
 // continuous query cRkNN(route) returns every customer for which the
 // route is among its k nearest objects -- the customers "captured" by the
-// route, e.g. candidates for an ad campaign along the way.
+// route, e.g. candidates for an ad campaign along the way. The lazy
+// algorithm answers each query again; if it disagrees with eager, the
+// example prints MISMATCH and exits 1.
 //
-// Build & run:  ./build/examples/route_monitoring [num_nodes] [route_len]
+// Build & run:  ./build/route_monitoring [num_nodes] [route_len]
 
 #include <cstdio>
 #include <cstdlib>
@@ -75,14 +77,21 @@ int main(int argc, char** argv) {
     if (result.results.size() > 5) {
       std::printf("  ...\n");
     }
-  }
 
-  // --- The lazy variant answers the same query through the same spec.
-  auto lazy = engine
-                  .Run(core::QuerySpec::Continuous(core::Algorithm::kLazy,
-                                                   route))
-                  .ValueOrDie();
-  std::printf("(lazy agrees: %zu customers at k=1)\n",
-              lazy.results.size());
+    // The lazy variant answers the same query through the same spec: the
+    // same customers at the same route distances.
+    auto lazy = engine
+                    .Run(core::QuerySpec::Continuous(core::Algorithm::kLazy,
+                                                     route, k))
+                    .ValueOrDie();
+    if (lazy.results != result.results) {
+      std::fprintf(stderr,
+                   "MISMATCH: lazy captures %zu customers, eager %zu\n",
+                   lazy.results.size(), result.results.size());
+      return 1;
+    }
+    std::printf("  (lazy agrees: %zu customers at k=%d)\n",
+                lazy.results.size(), k);
+  }
   return 0;
 }

@@ -1,13 +1,13 @@
 // Copyright (c) GRNN authors.
-// IndexedHeap: an addressable d-ary min-heap with stable, generation-checked
-// handles.
+// IndexedHeap: an addressable binary min-heap with stable,
+// generation-checked handles.
 //
 // The lazy RkNN algorithm (paper Fig 6/7) keeps a hash table mapping each
 // expanded node to the heap entries it inserted, so that a later
 // verification query can surgically delete those entries. IndexedHeap
-// provides exactly that: Push() returns a Handle, and Erase(handle) /
-// UpdateKey(handle) operate on live entries. Handles embed a generation
-// counter, so erasing an entry that was already popped is a safe no-op.
+// provides exactly that: Push() returns a Handle, and Erase(handle)
+// removes a live entry. Handles embed a generation counter, so erasing
+// an entry that was already popped is a safe no-op.
 
 #ifndef GRNN_COMMON_INDEXED_HEAP_H_
 #define GRNN_COMMON_INDEXED_HEAP_H_
@@ -20,15 +20,12 @@
 
 namespace grnn {
 
-/// \brief Addressable d-ary min-heap.
+/// \brief Addressable binary min-heap.
 ///
 /// \tparam Key ordered priority type (smallest on top).
 /// \tparam Value payload carried with each entry.
-/// \tparam Arity number of children per heap node (2 = binary heap).
-template <typename Key, typename Value, int Arity = 2>
+template <typename Key, typename Value>
 class IndexedHeap {
-  static_assert(Arity >= 2, "heap arity must be at least 2");
-
  public:
   /// Opaque reference to a live heap entry. Becomes stale (and harmless)
   /// once the entry is popped or erased.
@@ -73,10 +70,6 @@ class IndexedHeap {
     GRNN_DCHECK(!empty());
     return slots_[heap_[0]].key;
   }
-  const Value& top_value() const {
-    GRNN_DCHECK(!empty());
-    return slots_[heap_[0]].value;
-  }
 
   /// Removes and returns the smallest entry; O(log n).
   std::pair<Key, Value> Pop() {
@@ -102,33 +95,6 @@ class IndexedHeap {
     }
     RemoveAt(slots_[h.slot].heap_pos);
     return true;
-  }
-
-  /// Changes the key of a live entry (either direction); returns whether
-  /// the handle was live.
-  bool UpdateKey(Handle h, Key new_key) {
-    if (!Contains(h)) {
-      return false;
-    }
-    Slot& s = slots_[h.slot];
-    const bool decreased = new_key < s.key;
-    s.key = std::move(new_key);
-    if (decreased) {
-      SiftUp(s.heap_pos);
-    } else {
-      SiftDown(s.heap_pos);
-    }
-    return true;
-  }
-
-  /// Key / value access through a live handle.
-  const Key& key(Handle h) const {
-    GRNN_DCHECK(Contains(h));
-    return slots_[h.slot].key;
-  }
-  const Value& value(Handle h) const {
-    GRNN_DCHECK(Contains(h));
-    return slots_[h.slot].value;
   }
 
   void clear() {
@@ -169,7 +135,7 @@ class IndexedHeap {
   void SiftUp(uint32_t pos) {
     uint32_t slot = heap_[pos];
     while (pos > 0) {
-      uint32_t parent = (pos - 1) / Arity;
+      uint32_t parent = (pos - 1) / 2;
       if (!(slots_[slot].key < slots_[heap_[parent]].key)) {
         break;
       }
@@ -185,17 +151,14 @@ class IndexedHeap {
     uint32_t slot = heap_[pos];
     const uint32_t n = static_cast<uint32_t>(heap_.size());
     for (;;) {
-      uint32_t first_child = pos * Arity + 1;
-      if (first_child >= n) {
+      const uint32_t left = pos * 2 + 1;
+      if (left >= n) {
         break;
       }
-      uint32_t best = first_child;
-      uint32_t end =
-          first_child + Arity < n ? first_child + Arity : n;
-      for (uint32_t c = first_child + 1; c < end; ++c) {
-        if (slots_[heap_[c]].key < slots_[heap_[best]].key) {
-          best = c;
-        }
+      uint32_t best = left;
+      if (left + 1 < n &&
+          slots_[heap_[left + 1]].key < slots_[heap_[left]].key) {
+        best = left + 1;
       }
       if (!(slots_[heap_[best]].key < slots_[slot].key)) {
         break;

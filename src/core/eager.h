@@ -30,8 +30,9 @@ class SearchWorkspace;
 /// Results are sorted by point id.
 ///
 /// All search state is drawn from `ws`, so a caller issuing many queries
-/// (RknnEngine::RunBatch) allocates nothing per call once the workspace
-/// is warm. Issue one-shot queries through core::RknnEngine instead.
+/// through one workspace (as RknnEngine::Run does with its pooled ones)
+/// allocates nothing per call once the workspace is warm. Issue one-shot
+/// queries through core::RknnEngine instead.
 Result<RknnResult> EagerRknn(const graph::NetworkView& g,
                              const NodePointSet& points,
                              std::span<const NodeId> query_nodes,

@@ -100,7 +100,7 @@ struct RknnEngine::State {
   HubIndexPtr hub_edge;
   /// Guards the idle-workspace pool. The pool is FIFO: successive
   /// acquisitions rotate through every pooled workspace, so repeated
-  /// batches warm all of them toward the workload's high-water mark
+  /// calls warm all of them toward the workload's high-water mark
   /// instead of hammering one lucky workspace.
   std::mutex ws_mu;
   std::deque<std::unique_ptr<SearchWorkspace>> idle_ws;
@@ -1253,36 +1253,6 @@ Result<RknnEngine::UpdateResult> RknnEngine::ApplyUpdate(
     state_->lifetime.io += src_.pool->stats() - io_before;
   }
   return result;
-}
-
-Result<RknnEngine::BatchResult> RknnEngine::RunBatch(
-    std::span<const QuerySpec> specs) {
-  std::unique_ptr<SearchWorkspace> ws = AcquireWorkspace();
-  BatchResult batch;
-  batch.results.reserve(specs.size());
-  const storage::IoStats io_before =
-      src_.pool != nullptr ? src_.pool->stats() : storage::IoStats{};
-  for (const QuerySpec& spec : specs) {
-    const size_t footprint = ws->CapacityFootprint();
-    Result<RknnResult> result = Dispatch(spec, *ws);
-    if (!result.ok()) {
-      ReleaseWorkspace(std::move(ws));
-      return result.status();
-    }
-    batch.stats.queries++;
-    batch.stats.search += result->stats;
-    if (ws->CapacityFootprint() > footprint) {
-      batch.stats.workspace_grows++;
-    }
-    batch.results.push_back(std::move(*result));
-  }
-  ReleaseWorkspace(std::move(ws));
-  if (src_.pool != nullptr) {
-    batch.stats.io = src_.pool->stats() - io_before;
-  }
-  std::lock_guard<std::mutex> lock(state_->stats_mu);
-  state_->lifetime += batch.stats;
-  return batch;
 }
 
 }  // namespace grnn::core

@@ -8,15 +8,15 @@
 // (Section 5.1), continuous route queries (Section 5.1) and unrestricted
 // edge-position queries (Section 5.2). The engine owns the graph view,
 // the point sources, the materialization and the buffer pool once, and
-// answers any QuerySpec through Run(); RunBatch() answers a batch
-// serially over one pooled SearchWorkspace so consecutive queries stop
-// paying per-call allocation (see DESIGN.md, "The engine" and
-// "Concurrency model"). The engine owns no threads: parallelism comes
-// only from callers invoking it from several threads.
+// answers any QuerySpec through Run() and applies any UpdateSpec through
+// ApplyUpdate(). Each Run leases a pooled SearchWorkspace, so successive
+// queries stop paying per-call allocation (see DESIGN.md, "The engine"
+// and "Concurrency model"). The engine owns no threads: parallelism
+// comes only from callers invoking it from several threads.
 //
 // Concurrency contract (PR 2 audit, extended by the PR 3 live-update
 // path; full protocol in DESIGN.md, "Concurrency model"):
-//   * One engine may serve Run / RunBatch / ApplyUpdate calls from many
+//   * One engine may serve Run / ApplyUpdate calls from many
 //     threads concurrently. Mutable per-query state lives in pooled
 //     SearchWorkspaces (one per in-flight call); lifetime counters are
 //     mutex-guarded.
@@ -66,7 +66,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -224,7 +223,8 @@ struct EngineSources {
   /// derives inverted point indices from it at Create and patches them
   /// as a step of every live update (see ApplyUpdate below).
   const index::LabelStore* hub_labels = nullptr;
-  /// When set, RunBatch reports the I/O charged to this pool per batch.
+  /// When set, Run and ApplyUpdate charge this pool's I/O delta to the
+  /// lifetime stats, and the metrics collector exports its counters.
   storage::BufferPool* pool = nullptr;
   /// Mutable aliases of the sources above; unlocks ApplyUpdate for the
   /// populations that are set.
@@ -262,41 +262,30 @@ struct EngineSources {
   obs::TraceOptions trace;
 };
 
-/// Aggregated execution counters, kept per batch and cumulatively for
-/// the engine lifetime.
+/// Execution counters, cumulative over the engine lifetime.
 struct EngineStats {
   uint64_t queries = 0;
   SearchStats search;
   storage::IoStats io;
   /// Queries during which a pooled workspace buffer had to (re)allocate.
-  /// After a warm-up query on a given graph this stays flat: batched
-  /// execution performs no per-query workspace allocation.
+  /// After a warm-up query on a given graph this stays flat: repeated
+  /// Run calls perform no per-query workspace allocation.
   uint64_t workspace_grows = 0;
   /// Updates applied through ApplyUpdate.
   uint64_t updates = 0;
   /// Maintenance-cost totals over those updates (Fig 22's metric), so
   /// benches read update cost off the engine instead of side tallies.
   UpdateStats update;
-
-  EngineStats& operator+=(const EngineStats& o) {
-    queries += o.queries;
-    search += o.search;
-    io += o.io;
-    workspace_grows += o.workspace_grows;
-    updates += o.updates;
-    update += o.update;
-    return *this;
-  }
 };
 
 /// \brief Session object answering RkNN queries of every kind through a
 /// single entry point, with workspace reuse across calls.
 ///
-/// Thread-safe: Run and RunBatch may be called concurrently from many
-/// threads (see the concurrency contract in the file header). Each call
+/// Thread-safe: Run and ApplyUpdate may be called concurrently from many
+/// threads (see the concurrency contract in the file header). Each Run
 /// leases a SearchWorkspace from the engine's pool and returns it when
 /// done, so workspaces — and their warmed-up buffers — are reused both
-/// across batches and across serving threads.
+/// across calls and across serving threads.
 class RknnEngine {
  public:
   static Result<RknnEngine> Create(const EngineSources& sources);
@@ -309,19 +298,6 @@ class RknnEngine {
   /// Answers one query. Reuses a pooled workspace, so even single
   /// queries amortize allocation across calls.
   Result<RknnResult> Run(const QuerySpec& spec);
-
-  struct BatchResult {
-    /// Per-query results, in spec order.
-    std::vector<RknnResult> results;
-    /// Aggregated over the batch (io is the buffer-pool delta during the
-    /// batch when the engine has a pool — under concurrent callers that
-    /// delta includes their traffic too).
-    EngineStats stats;
-  };
-
-  /// Answers a batch of queries serially over one pooled workspace. The
-  /// first failing query aborts the batch.
-  Result<BatchResult> RunBatch(std::span<const QuerySpec> specs);
 
   /// \brief Outcome of one applied update.
   struct UpdateResult {
@@ -358,8 +334,8 @@ class RknnEngine {
   /// maintenance errors mean real I/O trouble, not concurrency noise.)
   Result<UpdateResult> ApplyUpdate(const UpdateSpec& spec);
 
-  /// Snapshot of the cumulative counters across every completed
-  /// Run/RunBatch on this engine.
+  /// Snapshot of the cumulative counters across every successful Run
+  /// and ApplyUpdate on this engine.
   EngineStats lifetime_stats() const;
 
   const EngineSources& sources() const { return src_; }

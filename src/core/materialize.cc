@@ -225,6 +225,10 @@ Status MaterializedDeleteSeeded(const graph::NetworkView& g, PointId p,
   IndexedHeap<Weight, NodeId> heap;
   IndexedHeap<Weight, Entry> refill;  // H'
   std::unordered_set<NodeId> processed;
+  // Affected nodes in discovery order: the refill seeds H' in this order,
+  // so its equal-distance entries pop alike under every standard
+  // library. The set answers membership.
+  std::vector<NodeId> affected_order;
   std::unordered_set<NodeId> affected;
   for (const PointSeed& s : seeds) {
     if (s.node >= g.num_nodes()) {
@@ -257,6 +261,7 @@ Status MaterializedDeleteSeeded(const graph::NetworkView& g, PointId p,
     // Affected node: remove p and keep expanding.
     list.erase(it);
     affected.insert(n);
+    affected_order.push_back(n);
     GRNN_RETURN_NOT_OK(store->Write(n, list));
     if (stats != nullptr) {
       stats->lists_written++;
@@ -278,7 +283,7 @@ Status MaterializedDeleteSeeded(const graph::NetworkView& g, PointId p,
   // -- from a surviving entry of an adjacent affected node's own list
   // (the paper's Fig 10 description covers the K = 1 case, where affected
   // lists lose their only entry and border lists are the sole source).
-  for (NodeId n : affected) {
+  for (NodeId n : affected_order) {
     GRNN_ASSIGN_OR_RETURN(std::span<const AdjEntry> nbrs,
                           g.Scan(n, cursor));
     GRNN_RETURN_NOT_OK(store->Read(n, &list));

@@ -230,7 +230,7 @@ void SortByPoint(RknnResult& result);
 /// \brief Reusable engine for the local NN queries issued by the RNN
 /// algorithms. One instance per query keeps scratch allocations amortized;
 /// a rebindable instance inside a SearchWorkspace amortizes them across
-/// whole query batches.
+/// every query that reuses the workspace.
 class NnSearcher {
  public:
   /// Unbound searcher; Bind() before use.

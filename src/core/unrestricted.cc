@@ -63,7 +63,7 @@ struct VerifyResult {
 
 // Shared expansion engine: mixed node/point Dijkstra with incident-edge
 // point discovery. Verify and RangeNn keep their scratch state in the
-// workspace's aux buffers, so batched queries reuse it across calls;
+// workspace's aux buffers, so successive queries reuse it across calls;
 // the main expansions own the non-aux buffers of the same workspace,
 // two of which (records, seen_points) VerifyOnce and VerifyIncident use
 // on the main expansion's behalf.

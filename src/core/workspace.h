@@ -1,9 +1,9 @@
 // Copyright (c) GRNN authors.
 // SearchWorkspace: the reusable search state threaded through every RkNN
-// algorithm so that consecutive queries (RknnEngine::RunBatch) stop paying
-// per-call allocation. RknnEngine pools workspaces and leases one per
-// in-flight Run or RunBatch call; a workspace itself is single-owner
-// mutable state and must never be shared by two live queries.
+// algorithm so that successive queries stop paying per-call allocation.
+// RknnEngine pools workspaces and leases one per in-flight Run call; a
+// workspace itself is single-owner mutable state and must never be
+// shared by two live queries.
 //
 // All algorithms draw their expansion state from one workspace. The
 // buffers fall into two groups that may be live at the same time:
@@ -31,8 +31,8 @@
 //
 // Small per-query transients (the lazy algorithms' per-node bookkeeping
 // maps, result vectors) are intentionally not pooled here; the counters
-// below track only the O(|V|)-sized state whose reuse dominates batch
-// throughput (see DESIGN.md, "Batched execution").
+// below track only the O(|V|)-sized state whose reuse dominates query
+// throughput (see DESIGN.md, "The search workspace").
 
 #ifndef GRNN_CORE_WORKSPACE_H_
 #define GRNN_CORE_WORKSPACE_H_
@@ -126,7 +126,7 @@ class SearchWorkspace {
 
   /// Total element capacity of every pooled buffer. RknnEngine snapshots
   /// this around each query: once a workspace has warmed up on a given
-  /// graph, the footprint stops moving and batched queries run
+  /// graph, the footprint stops moving and later queries run
   /// allocation-free in the pooled state.
   size_t CapacityFootprint() const {
     return node_heap.slot_capacity() + aux_node_heap.slot_capacity() +

@@ -83,14 +83,6 @@ std::vector<NodeId> DegreeOrder(const CsrAdjacency& csr) {
   return order;
 }
 
-std::vector<NodeId> RandomOrder(NodeId n, uint64_t seed) {
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  Rng rng(seed);
-  rng.Shuffle(order);
-  return order;
-}
-
 // Sampled Brandes betweenness, descending. Runs a full Dijkstra +
 // dependency accumulation per sampled source. Each dependency is summed
 // in 2^-20 fixed point, so the centrality totals — and the order —
@@ -175,8 +167,6 @@ std::vector<NodeId> HubProcessingOrder(const CsrAdjacency& csr,
   switch (options.order) {
     case HubOrder::kDegreeDesc:
       return DegreeOrder(csr);
-    case HubOrder::kRandom:
-      return RandomOrder(csr.num_nodes(), options.seed);
     case HubOrder::kPartition:
       return storage::ComputeSeparatorOrder(csr.offsets, csr.adj,
                                             csr.degree);

@@ -188,7 +188,6 @@ class HubLabelIndex final : public LabelStore {
 /// the separator and centrality orders exist for exactly those.
 enum class HubOrder : uint8_t {
   kDegreeDesc,  // degree descending, node id ascending (default)
-  kRandom,      // seeded shuffle (ablation / adversarial testing)
   kPartition,   // recursive-separator order (storage/partitioner.h):
                 // top-level separators first; the order of choice for
                 // grid/road worlds (labels ~ sum of separator widths)
@@ -210,7 +209,7 @@ struct HubLabelBuildStats {
 
 struct HubLabelBuildOptions {
   HubOrder order = HubOrder::kDegreeDesc;
-  /// Seed for HubOrder::kRandom and the kBetweennessApprox sampler.
+  /// Seed for the kBetweennessApprox source sampler.
   uint64_t seed = 42;
   /// Shortest-path source samples for HubOrder::kBetweennessApprox.
   uint32_t betweenness_samples = 64;

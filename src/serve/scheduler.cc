@@ -72,7 +72,6 @@ Scheduler::Scheduler(core::RknnEngine* engine, SchedulerOptions options)
           snap.SetCounter("scheduler.expired", s.expired);
           snap.SetCounter("scheduler.completed", s.completed);
           snap.SetCounter("scheduler.batches", s.batches);
-          snap.SetCounter("scheduler.batch_fallbacks", s.batch_fallbacks);
           snap.SetHistogram("scheduler.latency_micros", s.latency);
         });
   }
@@ -165,7 +164,6 @@ void Scheduler::Complete(const std::shared_ptr<Ticket::Request>& req,
 
 void Scheduler::WorkerLoop() {
   std::vector<std::shared_ptr<Ticket::Request>> batch;
-  std::vector<core::QuerySpec> specs;
   for (;;) {
     batch.clear();
     {
@@ -179,49 +177,23 @@ void Scheduler::WorkerLoop() {
         queue_.pop_front();
       }
     }
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.batches++;
+    }
     if (opts_.batch_hook) {
       opts_.batch_hook(batch.size());
     }
-    // Expire what the client already gave up on rather than burn
-    // engine time: admission keeps the queue bounded, expiry keeps the
-    // backlog honest.
-    const auto now = Clock::now();
-    size_t live = 0;
-    for (auto& req : batch) {
-      if (now > req->deadline) {
+    for (const auto& req : batch) {
+      // Expire what the client already gave up on rather than burn
+      // engine time: admission keeps the queue bounded, expiry keeps the
+      // backlog honest. Execution starts at this request's own Run.
+      if (Clock::now() > req->deadline) {
         Complete(req,
                  Status::ResourceExhausted(
                      "deadline expired before execution"),
                  Disposition::kExpired);
       } else {
-        batch[live++] = std::move(req);
-      }
-    }
-    batch.resize(live);
-    if (batch.empty()) {
-      continue;
-    }
-    specs.clear();
-    specs.reserve(batch.size());
-    for (const auto& req : batch) {
-      specs.push_back(req->spec);
-    }
-    Result<core::RknnEngine::BatchResult> run = engine_->RunBatch(specs);
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.batches++;
-      stats_.batch_fallbacks += !run.ok();
-    }
-    if (run.ok()) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Complete(batch[i], std::move(run->results[i]),
-                 Disposition::kRun);
-      }
-    } else {
-      // RunBatch aborts at the first failing spec; replay the batch
-      // per-request so the error attributes to the request that caused
-      // it and the innocent ones still get answers.
-      for (const auto& req : batch) {
         Complete(req, engine_->Run(req->spec), Disposition::kRun);
       }
     }

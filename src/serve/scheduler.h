@@ -1,12 +1,11 @@
 // Copyright (c) GRNN authors.
-// Scheduler: the serving layer's admission + batching front end
-// (DESIGN.md, "Serving layer").
+// Scheduler: the serving layer's admission front end (DESIGN.md,
+// "Serving layer").
 //
 // Requests arrive one QuerySpec at a time (Submit) and complete
-// asynchronously; the scheduler coalesces admitted requests into
-// RunBatch chunks so the engine amortizes workspace reuse and dispatch
-// overhead across a batch, exactly as offline batching does. Three
-// policies shape the pipeline:
+// asynchronously; a worker answers each admitted request with its own
+// engine Run call, so a failing request fails alone. Three policies
+// shape the pipeline:
 //
 //   * ADMISSION — the queue is bounded (SchedulerOptions::
 //     queue_capacity). A request arriving at a full queue is SHED
@@ -14,14 +13,13 @@
 //     work the server cannot keep up with: under overload the latency
 //     of admitted requests stays bounded and the failure mode is an
 //     explicit signal the client can back off on, not collapse.
-//   * BATCHING — a worker drains whatever is queued (up to max_batch)
-//     and never waits for more: batches form opportunistically from
-//     what the queue holds, so an idle server runs singletons at
-//     minimum latency and a busy one runs full batches at maximum
-//     throughput.
+//   * DEQUEUE — a worker takes whatever is queued (up to max_batch) in
+//     one dequeue and never waits for more, then runs those requests
+//     in order, one Run each.
 //   * DEADLINES — a request carrying a deadline that expires before
 //     execution starts completes with kResourceExhausted instead of
 //     burning engine time on an answer the client stopped waiting for.
+//     The worker checks it just before that request's own Run.
 //
 // Workers are long-running drain loops, one std::thread each, started by
 // the constructor and joined by Shutdown. Per-request latency (submit to
@@ -56,15 +54,16 @@
 namespace grnn::serve {
 
 struct SchedulerOptions {
-  /// Worker threads, each a drain loop executing batches.
+  /// Worker threads, each a drain loop running requests through Run.
   int num_workers = 1;
   /// Admission bound: requests beyond this many waiting are shed.
   size_t queue_capacity = 1024;
-  /// Most specs coalesced into one engine RunBatch call.
+  /// Most requests a worker takes from the queue in one dequeue.
   size_t max_batch = 32;
-  /// TEST SEAM: called by the draining worker after batch formation,
-  /// before execution (argument: batch size). Lets tests hold workers
-  /// mid-pipeline to fill the queue deterministically. Leave unset.
+  /// TEST SEAM: called by the draining worker after each dequeue,
+  /// before running its requests (argument: how many it took). Lets
+  /// tests hold workers mid-pipeline to fill the queue
+  /// deterministically. Leave unset.
   std::function<void(size_t)> batch_hook;
   /// Optional metrics registry (src/obs/). When set, the scheduler
   /// registers a collector exporting its counters and latency
@@ -116,11 +115,8 @@ class Scheduler {
     uint64_t shed = 0;
     uint64_t expired = 0;
     uint64_t completed = 0;
-    /// Batches that reached the engine, replayed ones included.
+    /// Worker dequeues, including those whose requests all expired.
     uint64_t batches = 0;
-    /// Batches whose RunBatch failed and were replayed per-spec so the
-    /// error lands on the request that caused it.
-    uint64_t batch_fallbacks = 0;
     obs::Histogram latency;
   };
 

@@ -74,7 +74,7 @@ uint8_t* PageGuard::mutable_data() {
 void PageGuard::Release() {
   if (pool_ != nullptr && data_ != nullptr) {
     if (frame_ != SIZE_MAX) {
-      pool_->Unpin(shard_, frame_, /*dirty=*/false);
+      pool_->Unpin(shard_, frame_);
       t_pins_held--;
     } else if (dirty_passthrough_) {
       // Unbuffered write-through.
@@ -257,13 +257,12 @@ void BufferPool::ResetStats() {
   }
 }
 
-void BufferPool::Unpin(size_t shard_idx, size_t frame, bool dirty) {
+void BufferPool::Unpin(size_t shard_idx, size_t frame) {
   Shard& shard = *shards_[shard_idx];
   std::lock_guard<std::mutex> lock(shard.mu);
   Frame& f = shard.frames[frame];
   GRNN_DCHECK(f.pins > 0);
   f.pins--;
-  f.dirty = f.dirty || dirty;
   if (f.pins == 0 && shard.waiters > 0) {
     shard.frame_unpinned.notify_all();
   }

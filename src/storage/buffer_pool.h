@@ -212,7 +212,7 @@ class BufferPool {
 
   size_t ShardOf(PageId id) const { return id % shards_.size(); }
 
-  void Unpin(size_t shard, size_t frame, bool dirty);
+  void Unpin(size_t shard, size_t frame);
   void MarkDirty(size_t shard, size_t frame);
   void CountPassthroughWrite(PageId page, const uint8_t* data);
   /// Victim frame within `shard` (caller holds the shard mutex).

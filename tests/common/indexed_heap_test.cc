@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <queue>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,7 +24,6 @@ TEST(IndexedHeapTest, PushPopSingle) {
   EXPECT_FALSE(h.empty());
   EXPECT_EQ(h.size(), 1u);
   EXPECT_DOUBLE_EQ(h.top_key(), 1.5);
-  EXPECT_EQ(h.top_value(), 7);
   auto [k, v] = h.Pop();
   EXPECT_DOUBLE_EQ(k, 1.5);
   EXPECT_EQ(v, 7);
@@ -101,36 +99,6 @@ TEST(IndexedHeapTest, SlotReuseDoesNotResurrectOldHandle) {
   EXPECT_EQ(h.Pop().second, 5);
 }
 
-TEST(IndexedHeapTest, UpdateKeyDecrease) {
-  Heap h;
-  h.Push(1.0, 1);
-  auto handle = h.Push(10.0, 10);
-  EXPECT_TRUE(h.UpdateKey(handle, 0.5));
-  EXPECT_EQ(h.top_value(), 10);
-}
-
-TEST(IndexedHeapTest, UpdateKeyIncrease) {
-  Heap h;
-  auto handle = h.Push(1.0, 1);
-  h.Push(2.0, 2);
-  EXPECT_TRUE(h.UpdateKey(handle, 5.0));
-  EXPECT_EQ(h.top_value(), 2);
-}
-
-TEST(IndexedHeapTest, UpdateKeyOnStaleHandleFails) {
-  Heap h;
-  auto handle = h.Push(1.0, 1);
-  h.Pop();
-  EXPECT_FALSE(h.UpdateKey(handle, 0.1));
-}
-
-TEST(IndexedHeapTest, KeyValueAccessors) {
-  Heap h;
-  auto handle = h.Push(3.25, 42);
-  EXPECT_DOUBLE_EQ(h.key(handle), 3.25);
-  EXPECT_EQ(h.value(handle), 42);
-}
-
 TEST(IndexedHeapTest, ClearEmptiesHeap) {
   Heap h;
   for (int i = 0; i < 10; ++i) h.Push(i, i);
@@ -140,23 +108,8 @@ TEST(IndexedHeapTest, ClearEmptiesHeap) {
   EXPECT_EQ(h.size(), 1u);
 }
 
-TEST(IndexedHeapTest, QuaternaryHeapSortsToo) {
-  IndexedHeap<int, int, 4> h;
-  Rng rng(17);
-  for (int i = 0; i < 1000; ++i) {
-    int k = static_cast<int>(rng.UniformInt(10000));
-    h.Push(k, k);
-  }
-  int prev = -1;
-  while (!h.empty()) {
-    auto [k, v] = h.Pop();
-    EXPECT_GE(k, prev);
-    prev = k;
-  }
-}
-
-// Randomized differential test against std::priority_queue with
-// interleaved erases and key updates.
+// Randomized differential test against a reference model with
+// interleaved pops and erases.
 TEST(IndexedHeapTest, StressAgainstReference) {
   Rng rng(99);
   Heap h;
@@ -179,17 +132,11 @@ TEST(IndexedHeapTest, StressAgainstReference) {
       EXPECT_DOUBLE_EQ(k, live[min_idx].second);
       live.erase(live.begin() + static_cast<long>(min_idx));
       (void)v;
-    } else if (action < 0.9) {
+    } else {
       // Erase a random live entry.
       size_t idx = static_cast<size_t>(rng.UniformInt(live.size()));
       EXPECT_TRUE(h.Erase(live[idx].first));
       live.erase(live.begin() + static_cast<long>(idx));
-    } else {
-      // Update a random live entry's key.
-      size_t idx = static_cast<size_t>(rng.UniformInt(live.size()));
-      double nk = rng.Uniform(0, 1000);
-      EXPECT_TRUE(h.UpdateKey(live[idx].first, nk));
-      live[idx].second = nk;
     }
     EXPECT_EQ(h.size(), live.size());
   }

@@ -6,7 +6,8 @@
 // kind x algorithm x k x exclusion combination. Every result is checked
 // against the independent brute-force oracle, and the full spec list is
 // re-executed by concurrent threads calling Run, which must match the
-// serial RunBatch bit-for-bit (points, hosting nodes and distances).
+// same list run serially through Run bit-for-bit (points, hosting nodes
+// and distances).
 //
 // On failure, the gtest parameter is the seed: replay with
 //   differential_test --gtest_filter='*/DifferentialHarness.*/<seed>'
@@ -44,6 +45,7 @@ namespace grnn::core {
 namespace {
 
 using testfix::Ids;
+using testfix::RunSerially;
 
 // Everything one seed's world serves queries from. Kept on the heap so
 // engine source pointers stay stable.
@@ -276,13 +278,14 @@ void CheckAgainstOracle(RknnEngine& engine,
 
 // Concurrent dispatch on one engine: 4 threads call Run over the whole
 // spec list, each from its own offset so different queries overlap.
-// Every answer must equal the serial batch bit for bit, and each
-// thread's summed search counters must equal the batch's: concurrent
-// callers lose no stat and leak no workspace state into each other.
+// Every answer must equal the serial run's bit for bit, and each
+// thread's summed search counters must equal the serial run's:
+// concurrent callers lose no stat and leak no workspace state into each
+// other.
 void CheckConcurrentRunsMatchSerial(RknnEngine& engine,
                                     const std::vector<QuerySpec>& specs,
                                     uint64_t seed) {
-  auto serial = engine.RunBatch(specs);
+  auto serial = RunSerially(engine, specs);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   constexpr size_t kThreads = 4;
   std::vector<std::vector<std::optional<RknnResult>>> got(
@@ -312,9 +315,9 @@ void CheckConcurrentRunsMatchSerial(RknnEngine& engine,
           << "replay: seed=" << seed << " spec=" << i << " thread=" << t;
       sum += got[t][i]->stats;
     }
-    EXPECT_EQ(sum.nodes_expanded, serial->stats.search.nodes_expanded);
-    EXPECT_EQ(sum.verify_calls, serial->stats.search.verify_calls);
-    EXPECT_EQ(sum.heap_pushes, serial->stats.search.heap_pushes);
+    EXPECT_EQ(sum.nodes_expanded, serial->stats.nodes_expanded);
+    EXPECT_EQ(sum.verify_calls, serial->stats.verify_calls);
+    EXPECT_EQ(sum.heap_pushes, serial->stats.heap_pushes);
   }
 }
 
@@ -549,9 +552,9 @@ TEST_P(DifferentialHarness, StoredGraphMatchesMemoryEngineBitForBit) {
   auto edge_specs = MakeSpecs(
       *w, {QueryKind::kUnrestricted, QueryKind::kContinuous},
       /*reps=*/1, rng);
-  auto node_want = mem_node.RunBatch(node_specs);
+  auto node_want = RunSerially(mem_node, node_specs);
   ASSERT_TRUE(node_want.ok());
-  auto edge_want = mem_edge.RunBatch(edge_specs);
+  auto edge_want = RunSerially(mem_edge, edge_specs);
   ASSERT_TRUE(edge_want.ok());
 
   StoredWorld sw = MakeStoredWorld(w->g);
@@ -565,7 +568,7 @@ TEST_P(DifferentialHarness, StoredGraphMatchesMemoryEngineBitForBit) {
   node_sources.pool = sw.pool.get();
   RknnEngine stored_node = RknnEngine::Create(node_sources).ValueOrDie();
 
-  auto serial = stored_node.RunBatch(node_specs);
+  auto serial = RunSerially(stored_node, node_specs);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (size_t i = 0; i < node_specs.size(); ++i) {
     EXPECT_EQ(serial->results[i].results, node_want->results[i].results)
@@ -581,7 +584,7 @@ TEST_P(DifferentialHarness, StoredGraphMatchesMemoryEngineBitForBit) {
   edge_sources.knn = &w->edge_knn;
   edge_sources.pool = sw.pool.get();
   RknnEngine stored_edge = RknnEngine::Create(edge_sources).ValueOrDie();
-  auto edge_serial = stored_edge.RunBatch(edge_specs);
+  auto edge_serial = RunSerially(stored_edge, edge_specs);
   ASSERT_TRUE(edge_serial.ok()) << edge_serial.status().ToString();
   for (size_t i = 0; i < edge_specs.size(); ++i) {
     EXPECT_EQ(edge_serial->results[i].results, edge_want->results[i].results)
@@ -650,11 +653,11 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
       MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_engine, specs, seed);
   CheckConcurrentRunsMatchSerial(mem_engine, specs, seed);
-  auto mem_batch = mem_engine.RunBatch(specs);
-  ASSERT_TRUE(mem_batch.ok());
+  auto mem_serial = RunSerially(mem_engine, specs);
+  ASSERT_TRUE(mem_serial.ok());
   // The label path actually served these (no silent fallback).
-  EXPECT_EQ(mem_batch->stats.search.hub_fallbacks, 0u);
-  EXPECT_GT(mem_batch->stats.search.label_entries, 0u);
+  EXPECT_EQ(mem_serial->stats.hub_fallbacks, 0u);
+  EXPECT_GT(mem_serial->stats.label_entries, 0u);
 
   // Edge engine over the same labels: unrestricted queries walk the
   // edge-resident occurrence index; continuous routes sweep it per node.
@@ -668,10 +671,10 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
       MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_edge, edge_specs, seed);
   CheckConcurrentRunsMatchSerial(mem_edge, edge_specs, seed);
-  auto mem_edge_batch = mem_edge.RunBatch(edge_specs);
-  ASSERT_TRUE(mem_edge_batch.ok());
-  EXPECT_EQ(mem_edge_batch->stats.search.hub_fallbacks, 0u);
-  EXPECT_GT(mem_edge_batch->stats.search.label_entries, 0u);
+  auto mem_edge_serial = RunSerially(mem_edge, edge_specs);
+  ASSERT_TRUE(mem_edge_serial.ok());
+  EXPECT_EQ(mem_edge_serial->stats.hub_fallbacks, 0u);
+  EXPECT_GT(mem_edge_serial->stats.label_entries, 0u);
 
   // Stored-label engines: persist, reopen, serve through the pool.
   auto disk = std::make_unique<storage::MemoryDiskManager>(512);
@@ -688,24 +691,24 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
   edge_sources.pool = pool.get();
   RknnEngine stored_edge = RknnEngine::Create(edge_sources).ValueOrDie();
 
-  auto stored_serial = stored_engine.RunBatch(specs);
+  auto stored_serial = RunSerially(stored_engine, specs);
   ASSERT_TRUE(stored_serial.ok()) << stored_serial.status().ToString();
   for (size_t i = 0; i < specs.size(); ++i) {
     // Bit-for-bit across label backends: same bytes, same arithmetic.
     EXPECT_EQ(stored_serial->results[i].results,
-              mem_batch->results[i].results)
+              mem_serial->results[i].results)
         << "spec=" << i;
   }
   EXPECT_EQ(pool->num_pinned(), 0u);
   CheckConcurrentRunsMatchSerial(stored_engine, specs, seed);
   EXPECT_EQ(pool->num_pinned(), 0u);
 
-  auto stored_edge_serial = stored_edge.RunBatch(edge_specs);
+  auto stored_edge_serial = RunSerially(stored_edge, edge_specs);
   ASSERT_TRUE(stored_edge_serial.ok())
       << stored_edge_serial.status().ToString();
   for (size_t i = 0; i < edge_specs.size(); ++i) {
     EXPECT_EQ(stored_edge_serial->results[i].results,
-              mem_edge_batch->results[i].results)
+              mem_edge_serial->results[i].results)
         << "edge spec=" << i;
   }
   CheckConcurrentRunsMatchSerial(stored_edge, edge_specs, seed);
@@ -817,17 +820,17 @@ TEST_P(DifferentialHarness, HubLabelMatchesOracleFromBothLabelBackends) {
     auto node_specs =
         MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/1, rng);
     CheckAgainstOracle(up_node, node_specs, seed);
-    auto node_batch = up_node.RunBatch(node_specs);
-    ASSERT_TRUE(node_batch.ok());
-    EXPECT_EQ(node_batch->stats.search.hub_fallbacks, 0u);
-    EXPECT_GT(node_batch->stats.search.label_entries, 0u);
+    auto node_serial = RunSerially(up_node, node_specs);
+    ASSERT_TRUE(node_serial.ok());
+    EXPECT_EQ(node_serial->stats.hub_fallbacks, 0u);
+    EXPECT_GT(node_serial->stats.label_entries, 0u);
     auto burst_edge_specs =
         MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/1, rng);
     CheckAgainstOracle(up_edge, burst_edge_specs, seed);
-    auto edge_batch = up_edge.RunBatch(burst_edge_specs);
-    ASSERT_TRUE(edge_batch.ok());
-    EXPECT_EQ(edge_batch->stats.search.hub_fallbacks, 0u);
-    EXPECT_GT(edge_batch->stats.search.label_entries, 0u);
+    auto edge_serial = RunSerially(up_edge, burst_edge_specs);
+    ASSERT_TRUE(edge_serial.ok());
+    EXPECT_EQ(edge_serial->stats.hub_fallbacks, 0u);
+    EXPECT_GT(edge_serial->stats.label_entries, 0u);
   }
 
   auto final_node_specs =
@@ -875,10 +878,10 @@ TEST_P(DifferentialHarness, PartitionOrderedLabelsMatchOracle) {
       MakeSpecsForAlgos(*w, kNodeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_engine, specs, seed);
   CheckConcurrentRunsMatchSerial(mem_engine, specs, seed);
-  auto mem_batch = mem_engine.RunBatch(specs);
-  ASSERT_TRUE(mem_batch.ok());
-  EXPECT_EQ(mem_batch->stats.search.hub_fallbacks, 0u);
-  EXPECT_GT(mem_batch->stats.search.label_entries, 0u);
+  auto mem_serial = RunSerially(mem_engine, specs);
+  ASSERT_TRUE(mem_serial.ok());
+  EXPECT_EQ(mem_serial->stats.hub_fallbacks, 0u);
+  EXPECT_GT(mem_serial->stats.label_entries, 0u);
 
   EngineSources edge_sources;
   edge_sources.graph = &*w->view;
@@ -890,9 +893,9 @@ TEST_P(DifferentialHarness, PartitionOrderedLabelsMatchOracle) {
       MakeSpecsForAlgos(*w, kEdgeKinds, kHubOnly, /*reps=*/2, rng);
   CheckAgainstOracle(mem_edge, edge_specs, seed);
   CheckConcurrentRunsMatchSerial(mem_edge, edge_specs, seed);
-  auto mem_edge_batch = mem_edge.RunBatch(edge_specs);
-  ASSERT_TRUE(mem_edge_batch.ok());
-  EXPECT_EQ(mem_edge_batch->stats.search.hub_fallbacks, 0u);
+  auto mem_edge_serial = RunSerially(mem_edge, edge_specs);
+  ASSERT_TRUE(mem_edge_serial.ok());
+  EXPECT_EQ(mem_edge_serial->stats.hub_fallbacks, 0u);
 
   // Stored labels reopened off disk: the decoded blobs must reproduce
   // the memory answers exactly.
@@ -910,19 +913,19 @@ TEST_P(DifferentialHarness, PartitionOrderedLabelsMatchOracle) {
   edge_sources.pool = pool.get();
   RknnEngine stored_edge = RknnEngine::Create(edge_sources).ValueOrDie();
 
-  auto stored_serial = stored_engine.RunBatch(specs);
+  auto stored_serial = RunSerially(stored_engine, specs);
   ASSERT_TRUE(stored_serial.ok()) << stored_serial.status().ToString();
   for (size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(stored_serial->results[i].results,
-              mem_batch->results[i].results)
+              mem_serial->results[i].results)
         << "spec=" << i;
   }
   CheckConcurrentRunsMatchSerial(stored_engine, specs, seed);
-  auto stored_edge_serial = stored_edge.RunBatch(edge_specs);
+  auto stored_edge_serial = RunSerially(stored_edge, edge_specs);
   ASSERT_TRUE(stored_edge_serial.ok());
   for (size_t i = 0; i < edge_specs.size(); ++i) {
     EXPECT_EQ(stored_edge_serial->results[i].results,
-              mem_edge_batch->results[i].results)
+              mem_edge_serial->results[i].results)
         << "edge spec=" << i;
   }
   EXPECT_EQ(pool->num_pinned(), 0u);

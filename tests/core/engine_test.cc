@@ -1,7 +1,8 @@
 // RknnEngine: the unified session API. Every (query kind x algorithm)
 // combination is cross-checked against the brute-force oracle on small
-// fixture graphs; batched execution must match one-at-a-time execution
-// and reuse the workspace without leaking state between queries.
+// fixture graphs; a warm engine's repeated Run calls must match a fresh
+// engine's and reuse the workspace without leaking state between
+// queries.
 
 #include "core/engine.h"
 
@@ -29,6 +30,7 @@ namespace {
 
 using testfix::Ids;
 using testfix::RandomConnectedGraph;
+using testfix::RunSerially;
 
 // One world with every point source: node points P, sites Q and
 // edge-resident points, plus the materializations each kind needs.
@@ -99,7 +101,7 @@ RknnEngine EdgeEngine(EngineWorld& w) {
   return RknnEngine::Create(sources).ValueOrDie();
 }
 
-// Builds a batch of specs of the given kind with mixed targets:
+// Builds a list of specs of the given kind with mixed targets:
 // queries at data points (paper workload, excluded from their own
 // query) alternate with queries at arbitrary locations.
 std::vector<QuerySpec> MakeSpecs(EngineWorld& w, QueryKind kind,
@@ -231,13 +233,13 @@ TEST(EngineTest, ContinuousOverEdgePointsMatchesOracle) {
 }
 
 // ---------------------------------------------------------------------
-// Batched execution.
+// Workspace reuse across Run calls.
 
 TEST(EngineBatchTest, BatchMatchesOneAtATime) {
   auto w = MakeWorld(4, 3);
   Rng rng(1234);
 
-  // A mixed batch across kinds and algorithms on the node engine...
+  // Mixed specs across kinds and algorithms on the node engine...
   std::vector<QuerySpec> specs;
   for (Algorithm algo : kAllAlgorithms) {
     for (QueryKind kind :
@@ -249,21 +251,23 @@ TEST(EngineBatchTest, BatchMatchesOneAtATime) {
   }
   ASSERT_GE(specs.size(), 100u);
 
-  RknnEngine batch_engine = NodeEngine(*w);
-  auto batch = batch_engine.RunBatch(specs).ValueOrDie();
-  ASSERT_EQ(batch.results.size(), specs.size());
-  EXPECT_EQ(batch.stats.queries, specs.size());
+  // ... answered by an engine whose workspace a first pass warmed ...
+  RknnEngine warm_engine = NodeEngine(*w);
+  ASSERT_TRUE(RunSerially(warm_engine, specs).ok());
+  auto warm = RunSerially(warm_engine, specs).ValueOrDie();
+  ASSERT_EQ(warm.results.size(), specs.size());
+  EXPECT_EQ(warm_engine.lifetime_stats().queries, 2 * specs.size());
 
-  // ... must agree, result by result, with fresh one-at-a-time runs.
-  RknnEngine single_engine = NodeEngine(*w);
+  // ... must agree, result by result, with a fresh engine's.
+  RknnEngine fresh_engine = NodeEngine(*w);
   SearchStats sum;
   for (size_t i = 0; i < specs.size(); ++i) {
-    auto single = single_engine.Run(specs[i]).ValueOrDie();
-    EXPECT_EQ(batch.results[i].results, single.results) << "query " << i;
-    sum += single.stats;
+    auto fresh = fresh_engine.Run(specs[i]).ValueOrDie();
+    EXPECT_EQ(warm.results[i].results, fresh.results) << "query " << i;
+    sum += fresh.stats;
   }
-  EXPECT_EQ(batch.stats.search.nodes_expanded, sum.nodes_expanded);
-  EXPECT_EQ(batch.stats.search.verify_calls, sum.verify_calls);
+  EXPECT_EQ(warm.stats.nodes_expanded, sum.nodes_expanded);
+  EXPECT_EQ(warm.stats.verify_calls, sum.verify_calls);
 }
 
 TEST(EngineBatchTest, NoWorkspaceAllocationOnceWarm) {
@@ -279,14 +283,16 @@ TEST(EngineBatchTest, NoWorkspaceAllocationOnceWarm) {
 
   RknnEngine engine = NodeEngine(*w);
   // First pass warms the workspace to its high-water mark...
-  auto warm = engine.RunBatch(specs).ValueOrDie();
-  // ... after which re-running the identical >= 100-query batch must not
+  ASSERT_TRUE(RunSerially(engine, specs).ok());
+  const EngineStats warm = engine.lifetime_stats();
+  // ... after which re-running the identical >= 100 queries must not
   // allocate any pooled buffer again.
-  auto second = engine.RunBatch(specs).ValueOrDie();
-  EXPECT_EQ(second.stats.workspace_grows, 0u)
-      << "warm batch reallocated workspace buffers (first pass grew "
-      << warm.stats.workspace_grows << " times)";
-  EXPECT_EQ(second.stats.queries, specs.size());
+  ASSERT_TRUE(RunSerially(engine, specs).ok());
+  const EngineStats second = engine.lifetime_stats();
+  EXPECT_EQ(second.workspace_grows, warm.workspace_grows)
+      << "warm pass reallocated workspace buffers (first pass grew "
+      << warm.workspace_grows << " times)";
+  EXPECT_EQ(second.queries - warm.queries, specs.size());
 }
 
 TEST(EngineBatchTest, UnrestrictedBatchNoAllocationOnceWarm) {
@@ -299,9 +305,10 @@ TEST(EngineBatchTest, UnrestrictedBatchNoAllocationOnceWarm) {
     specs.insert(specs.end(), part.begin(), part.end());
   }
   RknnEngine engine = EdgeEngine(*w);
-  (void)engine.RunBatch(specs).ValueOrDie();
-  auto second = engine.RunBatch(specs).ValueOrDie();
-  EXPECT_EQ(second.stats.workspace_grows, 0u);
+  ASSERT_TRUE(RunSerially(engine, specs).ok());
+  const uint64_t warm_grows = engine.lifetime_stats().workspace_grows;
+  ASSERT_TRUE(RunSerially(engine, specs).ok());
+  EXPECT_EQ(engine.lifetime_stats().workspace_grows, warm_grows);
 }
 
 TEST(EngineBatchTest, WorkspaceReuseDoesNotLeakStateBetweenQueries) {
@@ -322,11 +329,11 @@ TEST(EngineBatchTest, WorkspaceReuseDoesNotLeakStateBetweenQueries) {
     alternating.push_back(
         QuerySpec::Bichromatic(Algorithm::kLazyEp, a, /*k=*/2));
   }
-  auto batch = engine.RunBatch(alternating).ValueOrDie();
+  auto serial = RunSerially(engine, alternating).ValueOrDie();
   for (int rep = 1; rep < 5; ++rep) {
     for (int j = 0; j < 3; ++j) {
-      EXPECT_EQ(batch.results[3 * rep + j].results,
-                batch.results[j].results)
+      EXPECT_EQ(serial.results[3 * rep + j].results,
+                serial.results[j].results)
           << "repetition " << rep << " slot " << j
           << " diverged from its first occurrence";
     }
@@ -383,25 +390,15 @@ TEST(EngineTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(engine.Run(empty_route).ok());
 }
 
-TEST(EngineTest, BatchAbortsOnFirstError) {
-  auto w = MakeWorld(2, 1);
-  RknnEngine engine = NodeEngine(*w);
-  std::vector<QuerySpec> specs{
-      QuerySpec::Monochromatic(Algorithm::kEager, 0),
-      QuerySpec::Monochromatic(Algorithm::kEager, 1, /*k=*/0),  // invalid
-      QuerySpec::Monochromatic(Algorithm::kEager, 2)};
-  EXPECT_FALSE(engine.RunBatch(specs).ok());
-}
-
 TEST(EngineTest, LifetimeStatsAccumulate) {
   auto w = MakeWorld(2, 1);
   RknnEngine engine = NodeEngine(*w);
   ASSERT_TRUE(
       engine.Run(QuerySpec::Monochromatic(Algorithm::kEager, 0)).ok());
-  std::vector<QuerySpec> specs{
-      QuerySpec::Monochromatic(Algorithm::kLazy, 1),
-      QuerySpec::Monochromatic(Algorithm::kLazy, 2)};
-  ASSERT_TRUE(engine.RunBatch(specs).ok());
+  ASSERT_TRUE(
+      engine.Run(QuerySpec::Monochromatic(Algorithm::kLazy, 1)).ok());
+  ASSERT_TRUE(
+      engine.Run(QuerySpec::Monochromatic(Algorithm::kLazy, 2)).ok());
   EXPECT_EQ(engine.lifetime_stats().queries, 3u);
   EXPECT_GT(engine.lifetime_stats().search.nodes_scanned, 0u);
 }

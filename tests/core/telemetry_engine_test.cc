@@ -3,8 +3,8 @@
 // slow query retains a well-formed span tree with hub-label sweep/verify
 // and page-access children; explicit QuerySpec::trace arms tracing
 // without any sampling policy and closes the tree on error paths; and
-// the EngineStats aggregation covers every field (guarded by sizeof
-// asserts so new counters force this test to learn about them).
+// the stat structs behind EngineStats accumulate every field (guarded by
+// sizeof asserts so new counters force this test to learn about them).
 
 #include <gtest/gtest.h>
 
@@ -317,10 +317,10 @@ TEST(TelemetryEngineTest, ErrorPathClosesAllSpans) {
   EXPECT_EQ(ctx.spans().front().parent, -1);
 }
 
-// Satellite: the stat structs the telemetry collector bridges must
-// aggregate every field. The sizeof guards fail this file to compile
-// the moment a counter is added, forcing the += audits (and the
-// collector) to be revisited.
+// The stat structs the telemetry collector bridges must aggregate every
+// field. The sizeof guards fail this file to compile the moment a
+// counter is added, forcing the += audits (and the collector) to be
+// revisited.
 static_assert(sizeof(SearchStats) == 10 * sizeof(uint64_t),
               "SearchStats gained/lost a field: update operator+=, this "
               "test and the engine metrics collector");
@@ -333,55 +333,40 @@ static_assert(sizeof(UpdateStats) == 7 * sizeof(uint64_t),
 static_assert(sizeof(EngineStats) ==
                   sizeof(SearchStats) + sizeof(storage::IoStats) +
                       sizeof(UpdateStats) + 3 * sizeof(uint64_t),
-              "EngineStats gained/lost a field: update operator+=, this "
-              "test and the engine metrics collector");
+              "EngineStats gained/lost a field: update Run/ApplyUpdate's "
+              "lifetime accounting and the engine metrics collector");
 
 TEST(EngineStatsTest, AccumulateCoversEveryField) {
-  EngineStats a;
-  a.queries = 1;
-  a.workspace_grows = 2;
-  a.updates = 3;
-  a.search = SearchStats{10, 11, 12, 13, 14, 15, 16, 17, 18, 19};
-  a.io = storage::IoStats{20, 21, 22, 23};
-  a.update = UpdateStats{30, 31, 32, 33, 34, 35, 36};
-
-  EngineStats b;
-  b.queries = 100;
-  b.workspace_grows = 200;
-  b.updates = 300;
-  b.search =
+  SearchStats search{10, 11, 12, 13, 14, 15, 16, 17, 18, 19};
+  search +=
       SearchStats{1000, 1100, 1200, 1300, 1400, 1500, 1600, 1700, 1800, 1900};
-  b.io = storage::IoStats{2000, 2100, 2200, 2300};
-  b.update = UpdateStats{3000, 3100, 3200, 3300, 3400, 3500, 3600};
+  EXPECT_EQ(search.nodes_expanded, 1010u);
+  EXPECT_EQ(search.nodes_scanned, 1111u);
+  EXPECT_EQ(search.nodes_pruned, 1212u);
+  EXPECT_EQ(search.range_nn_calls, 1313u);
+  EXPECT_EQ(search.verify_calls, 1414u);
+  EXPECT_EQ(search.knn_list_reads, 1515u);
+  EXPECT_EQ(search.heap_pushes, 1616u);
+  EXPECT_EQ(search.shortcut_accepts, 1717u);
+  EXPECT_EQ(search.label_entries, 1818u);
+  EXPECT_EQ(search.hub_fallbacks, 1919u);
 
-  a += b;
-  EXPECT_EQ(a.queries, 101u);
-  EXPECT_EQ(a.workspace_grows, 202u);
-  EXPECT_EQ(a.updates, 303u);
+  storage::IoStats io{20, 21, 22, 23};
+  io += storage::IoStats{2000, 2100, 2200, 2300};
+  EXPECT_EQ(io.logical_reads, 2020u);
+  EXPECT_EQ(io.physical_reads, 2121u);
+  EXPECT_EQ(io.physical_writes, 2222u);
+  EXPECT_EQ(io.evictions, 2323u);
 
-  EXPECT_EQ(a.search.nodes_expanded, 1010u);
-  EXPECT_EQ(a.search.nodes_scanned, 1111u);
-  EXPECT_EQ(a.search.nodes_pruned, 1212u);
-  EXPECT_EQ(a.search.range_nn_calls, 1313u);
-  EXPECT_EQ(a.search.verify_calls, 1414u);
-  EXPECT_EQ(a.search.knn_list_reads, 1515u);
-  EXPECT_EQ(a.search.heap_pushes, 1616u);
-  EXPECT_EQ(a.search.shortcut_accepts, 1717u);
-  EXPECT_EQ(a.search.label_entries, 1818u);
-  EXPECT_EQ(a.search.hub_fallbacks, 1919u);
-
-  EXPECT_EQ(a.io.logical_reads, 2020u);
-  EXPECT_EQ(a.io.physical_reads, 2121u);
-  EXPECT_EQ(a.io.physical_writes, 2222u);
-  EXPECT_EQ(a.io.evictions, 2323u);
-
-  EXPECT_EQ(a.update.nodes_touched, 3030u);
-  EXPECT_EQ(a.update.lists_written, 3131u);
-  EXPECT_EQ(a.update.heap_pushes, 3232u);
-  EXPECT_EQ(a.update.border_nodes, 3333u);
-  EXPECT_EQ(a.update.log_records, 3434u);
-  EXPECT_EQ(a.update.log_flushes, 3535u);
-  EXPECT_EQ(a.update.log_bytes, 3636u);
+  UpdateStats update{30, 31, 32, 33, 34, 35, 36};
+  update += UpdateStats{3000, 3100, 3200, 3300, 3400, 3500, 3600};
+  EXPECT_EQ(update.nodes_touched, 3030u);
+  EXPECT_EQ(update.lists_written, 3131u);
+  EXPECT_EQ(update.heap_pushes, 3232u);
+  EXPECT_EQ(update.border_nodes, 3333u);
+  EXPECT_EQ(update.log_records, 3434u);
+  EXPECT_EQ(update.log_flushes, 3535u);
+  EXPECT_EQ(update.log_bytes, 3636u);
 }
 
 TEST(EngineStatsTest, IoStatsDeltaInvertsAccumulate) {

@@ -5,13 +5,20 @@
 // Edge weights are chosen to satisfy every distance the text mentions:
 //   d(q,n3) = 4, d(q,n1) = 5, d(n3,p1) = 3, d(n1,p2) = 3, d(q,p1) = 7,
 //   d(q,p2) = 8, and q = NN(p1) = NN(p2), so RNN(q) = {p1, p2}.
+//
+// RunSerially() is the serial reference the engine tests compare
+// concurrent and stored runs against: every spec through Run, in order.
 
 #ifndef GRNN_TESTS_CORE_TEST_FIXTURES_H_
 #define GRNN_TESTS_CORE_TEST_FIXTURES_H_
 
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/point_set.h"
 #include "core/types.h"
 #include "graph/connectivity.h"
@@ -98,6 +105,27 @@ inline std::vector<PointId> Ids(const RknnResult& r) {
     ids.push_back(m.point);
   }
   return ids;
+}
+
+// The answers of a spec list run one query at a time, plus their summed
+// search counters.
+struct SerialRun {
+  std::vector<RknnResult> results;
+  SearchStats stats;
+};
+
+// Runs every spec through engine.Run in order; fails on the first
+// failing spec.
+inline Result<SerialRun> RunSerially(RknnEngine& engine,
+                                     std::span<const QuerySpec> specs) {
+  SerialRun out;
+  out.results.reserve(specs.size());
+  for (const QuerySpec& spec : specs) {
+    GRNN_ASSIGN_OR_RETURN(RknnResult r, engine.Run(spec));
+    out.stats += r.stats;
+    out.results.push_back(std::move(r));
+  }
+  return out;
 }
 
 }  // namespace grnn::core::testfix

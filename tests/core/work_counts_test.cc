@@ -1,18 +1,20 @@
-// Pins the work each query algorithm does. A fixed, seeded list of
-// queries runs per (engine, kind, algorithm) on a 24x24 grid, and the
-// summed SearchStats (every field) must equal the constants below; on
-// the stored v1 engines, so must the buffer pool's logical and physical
-// reads (a one-shard LRU pool, invalidated before each query).
+// Pins the work each query algorithm and each update maintenance path
+// does. A fixed, seeded list of queries runs per (engine, kind,
+// algorithm) on a 24x24 grid, and the summed SearchStats (every field)
+// must equal the constants below; on the stored engines, so must the
+// buffer pool's logical and physical reads (a one-shard LRU pool,
+// invalidated before each query). Likewise a seeded sequence of inserts
+// and deletes runs per (engine, population), and the summed UpdateStats
+// (every field, plus the pool's reads on the stored engine) must equal
+// the update rows.
 //
 // The constants describe the algorithms as they are. Any change to an
 // algorithm's work, a saving included, updates the affected rows in the
 // same commit; a change that only moves code leaves every row as it is.
-// On a mismatch the test prints the row as it now reads.
+// On a mismatch the test prints the rows as they now read.
 //
 // This pins single algorithms on one small world; it does not replace
-// a count gate over the benchmark's workloads (perfbench/). Queries
-// only: maintenance iterates unordered sets, so its counts depend on
-// the standard library.
+// a count gate over the benchmark's workloads (perfbench/).
 
 #include <gtest/gtest.h>
 
@@ -81,6 +83,25 @@ const Counts kExpected[] = {
 };
 // clang-format on
 
+// One update row: the summed maintenance work of one (engine,
+// population) insert/delete sequence.
+struct UpdateCounts {
+  const char* engine;
+  const char* set;
+  uint64_t nodes_touched, lists_written, heap_pushes, border_nodes,
+      log_records, log_flushes, log_bytes;
+  uint64_t logical_reads, physical_reads;  // stored engine only
+};
+
+// clang-format off
+const UpdateCounts kExpectedUpdates[] = {
+    {"memory-node", "points", 5295, 868, 5205, 149, 0, 0, 0, 0, 0},
+    {"memory-node", "sites", 9410, 1572, 9427, 208, 0, 0, 0, 0, 0},
+    {"memory-edge", "edge_points", 5671, 891, 5541, 177, 0, 0, 0, 0, 0},
+    {"stored-node", "points", 5295, 868, 5205, 149, 0, 0, 0, 7898, 158},
+};
+// clang-format on
+
 std::string Format(const Counts& c) {
   return StrPrintf(
       "{\"%s\", \"%s\", \"%s\", %llu, %llu, %llu, %llu, %llu, %llu, "
@@ -96,6 +117,21 @@ std::string Format(const Counts& c) {
       static_cast<unsigned long long>(c.shortcut_accepts),
       static_cast<unsigned long long>(c.label_entries),
       static_cast<unsigned long long>(c.hub_fallbacks),
+      static_cast<unsigned long long>(c.logical_reads),
+      static_cast<unsigned long long>(c.physical_reads));
+}
+
+std::string Format(const UpdateCounts& c) {
+  return StrPrintf(
+      "{\"%s\", \"%s\", %llu, %llu, %llu, %llu, %llu, %llu, %llu, %llu, "
+      "%llu},",
+      c.engine, c.set, static_cast<unsigned long long>(c.nodes_touched),
+      static_cast<unsigned long long>(c.lists_written),
+      static_cast<unsigned long long>(c.heap_pushes),
+      static_cast<unsigned long long>(c.border_nodes),
+      static_cast<unsigned long long>(c.log_records),
+      static_cast<unsigned long long>(c.log_flushes),
+      static_cast<unsigned long long>(c.log_bytes),
       static_cast<unsigned long long>(c.logical_reads),
       static_cast<unsigned long long>(c.physical_reads));
 }
@@ -320,6 +356,133 @@ TEST(WorkCountsTest, EveryAlgorithmDoesThePinnedWork) {
   ASSERT_EQ(got.size(), std::size(kExpected)) << "rows now read:\n" << table;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(Format(got[i]), Format(kExpected[i]))
+        << "row " << i << " changed; rows now read:\n"
+        << table;
+  }
+}
+
+constexpr int kUpdateOps = 20;  // per (engine, population) row
+
+// Applies a seeded sequence of kUpdateOps updates to one population:
+// even steps insert (at a node free in that population, or at a random
+// edge position), odd steps delete a random live point. Sums their
+// maintenance work; with a pool, invalidates it before each update and
+// adds its reads.
+UpdateCounts MeasureUpdates(const char* engine_name, RknnEngine& engine,
+                            const World& w, UpdateSet set,
+                            storage::BufferPool* pool) {
+  UpdateCounts c{};
+  c.engine = engine_name;
+  c.set = UpdateSetName(set);
+  Rng rng(2301);
+  const auto edges = w.g.CollectEdges();
+  const NodePointSet& nodes = set == UpdateSet::kSites ? w.sites : w.points;
+  UpdateStats sum;
+  storage::IoStats io;
+  for (int i = 0; i < kUpdateOps; ++i) {
+    UpdateSpec spec;
+    if (set == UpdateSet::kEdgePoints) {
+      if (i % 2 == 0) {
+        const Edge& e = edges[rng.UniformInt(edges.size())];
+        spec = UpdateSpec::InsertEdgePoint(
+            EdgePosition{e.u, e.v, rng.Uniform(0.0, e.w)});
+      } else {
+        const auto live = w.edge_points.LivePoints();
+        spec = UpdateSpec::DeleteEdgePoint(live[rng.UniformInt(live.size())]);
+      }
+    } else if (i % 2 == 0) {
+      NodeId n;
+      do {
+        n = static_cast<NodeId>(rng.UniformInt(w.g.num_nodes()));
+      } while (nodes.Contains(n));
+      spec = set == UpdateSet::kSites ? UpdateSpec::InsertSite(n)
+                                      : UpdateSpec::InsertPoint(n);
+    } else {
+      const auto live = nodes.LivePoints();
+      const PointId p = live[rng.UniformInt(live.size())];
+      spec = set == UpdateSet::kSites ? UpdateSpec::DeleteSite(p)
+                                      : UpdateSpec::DeletePoint(p);
+    }
+    storage::IoStats before;
+    if (pool != nullptr) {
+      EXPECT_TRUE(pool->Invalidate().ok());
+      before = pool->stats();
+    }
+    auto r = engine.ApplyUpdate(spec);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) {
+      continue;
+    }
+    sum += r->stats;
+    if (pool != nullptr) {
+      io += pool->stats() - before;
+    }
+  }
+  c.nodes_touched = sum.nodes_touched;
+  c.lists_written = sum.lists_written;
+  c.heap_pushes = sum.heap_pushes;
+  c.border_nodes = sum.border_nodes;
+  c.log_records = sum.log_records;
+  c.log_flushes = sum.log_flushes;
+  c.log_bytes = sum.log_bytes;
+  c.logical_reads = io.logical_reads;
+  c.physical_reads = io.physical_reads;
+  return c;
+}
+
+TEST(WorkCountsTest, EveryUpdatePathDoesThePinnedWork) {
+  std::vector<UpdateCounts> got;
+
+  // Memory node engine: points and sites, each with its own store.
+  auto node_world = MakeWorld();
+  World& nw = *node_world;
+  EngineSources node_src;
+  node_src.graph = &*nw.view;
+  node_src.points = &nw.points;
+  node_src.sites = &nw.sites;
+  node_src.knn = &nw.knn;
+  node_src.site_knn = &nw.site_knn;
+  node_src.updates.points = &nw.points;
+  node_src.updates.sites = &nw.sites;
+  node_src.updates.knn = &nw.knn;
+  node_src.updates.site_knn = &nw.site_knn;
+  RknnEngine node = RknnEngine::Create(node_src).ValueOrDie();
+  for (UpdateSet set : {UpdateSet::kPoints, UpdateSet::kSites}) {
+    got.push_back(MeasureUpdates("memory-node", node, nw, set, nullptr));
+  }
+
+  auto edge_world = MakeWorld();
+  World& ew = *edge_world;
+  EngineSources edge_src;
+  edge_src.graph = &*ew.view;
+  edge_src.edge_points = &ew.edge_points;
+  edge_src.knn = &ew.edge_knn;
+  edge_src.updates.edge_points = &ew.edge_points;
+  edge_src.updates.knn = &ew.edge_knn;
+  edge_src.updates.base_graph = &ew.g;
+  RknnEngine edge = RknnEngine::Create(edge_src).ValueOrDie();
+  got.push_back(MeasureUpdates("memory-edge", edge, ew,
+                               UpdateSet::kEdgePoints, nullptr));
+
+  // Stored node engine: the KNN file is maintained through the pool.
+  auto stored_world = MakeWorld();
+  World& sw = *stored_world;
+  constexpr size_t kPoolPages = 6;
+  auto stored = bench::BuildStoredRestricted(sw.g, sw.points, kK, kPoolPages)
+                    .ValueOrDie();
+  RknnEngine sn =
+      bench::MakeRestrictedUpdatableEngine(stored, sw.points).ValueOrDie();
+  got.push_back(MeasureUpdates("stored-node", sn, sw, UpdateSet::kPoints,
+                               stored.pool.get()));
+
+  std::string table;
+  for (const UpdateCounts& c : got) {
+    table += "    " + Format(c) + "\n";
+  }
+  ASSERT_EQ(got.size(), std::size(kExpectedUpdates))
+      << "rows now read:\n" << table;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(Format(got[i]), Format(kExpectedUpdates[i]))
         << "row " << i << " changed; rows now read:\n"
         << table;
   }

@@ -73,17 +73,6 @@ TEST(HubLabelBuilder, RandomWorldsAllPairsExact) {
   }
 }
 
-TEST(HubLabelBuilder, RandomHubOrderStaysExact) {
-  Rng rng(7);
-  auto g = RandomConnectedGraph(40, 0.8, rng);
-  graph::GraphView view(&g);
-  HubLabelBuildOptions options;
-  options.order = HubOrder::kRandom;
-  options.seed = 99;
-  auto index = HubLabelBuilder::Build(view, options).ValueOrDie();
-  ExpectAllPairsExact(g, index);
-}
-
 TEST(HubLabelBuilder, DisconnectedPairsReportInfinity) {
   // Two 3-node components.
   auto g = graph::Graph::FromEdges(
@@ -416,7 +405,7 @@ TEST(HubPointIndex, EraseOfUnknownOccurrenceReportsInternal) {
 // --- Hub-order matrix ---------------------------------------------------
 
 constexpr HubOrder kAllOrders[] = {
-    HubOrder::kDegreeDesc, HubOrder::kRandom, HubOrder::kPartition,
+    HubOrder::kDegreeDesc, HubOrder::kPartition,
     HubOrder::kBetweennessApprox};
 
 void ExpectIdenticalLabels(const HubLabelIndex& a, const HubLabelIndex& b) {

@@ -1,9 +1,9 @@
 // serve::Scheduler policy suite: admission/overload shedding, deadline
-// expiry, batch-failure attribution, shutdown draining — plus the
+// expiry, a failing request failing alone, shutdown draining — plus the
 // obs::Histogram the scheduler records its latency percentiles in.
 //
 // The tests pin the single worker inside SchedulerOptions::batch_hook
-// (a gate it waits on after forming a batch) to build queue states
+// (a gate it waits on after each dequeue) to build queue states
 // deterministically: with the worker parked, Submits land in the queue
 // and stay there, so "queue full" and "deadline passed while queued"
 // are exact, not timing-dependent.
@@ -143,8 +143,8 @@ struct ServeWorld {
   }
 };
 
-/// Gate used as batch_hook: the worker parks after forming its first
-/// batch until Release; later batches pass straight through.
+/// Gate used as batch_hook: the worker parks after its first dequeue
+/// until Release; later dequeues pass straight through.
 class WorkerGate {
  public:
   void operator()(size_t) {
@@ -289,6 +289,8 @@ TEST(SchedulerTest, ExpiredDeadlinesCompleteUnrun) {
   const Scheduler::Stats s = sched.stats();
   EXPECT_EQ(s.expired, 1u);
   EXPECT_EQ(s.completed, 1u);
+  // A dequeue whose requests all expired still counts.
+  EXPECT_EQ(s.batches, 2u);
 }
 
 // A deadline beyond the clock's range is no deadline. It must neither
@@ -314,10 +316,10 @@ TEST(SchedulerTest, HugeDeadlinesNeverExpire) {
   EXPECT_EQ(s.completed, 3u);
 }
 
-// A failing spec inside a batch must not poison its batchmates:
-// RunBatch aborts on first error, so the scheduler replays the batch
-// per-request and the error attributes to the bad request alone.
-TEST(SchedulerTest, BatchFailureAttributesToTheBadRequest) {
+// A failing request must not poison the requests dequeued with it:
+// each one runs through its own Run, so the error lands on the bad
+// request alone and its batchmates are answered.
+TEST(SchedulerTest, FailingRequestFailsAlone) {
   ServeWorld w = ServeWorld::Make();
   WorkerGate gate;
   SchedulerOptions opts;
@@ -342,8 +344,7 @@ TEST(SchedulerTest, BatchFailureAttributesToTheBadRequest) {
       << bad_ticket.Wait().result.status().ToString();
   EXPECT_EQ(bad_ticket.Wait().disposition, Disposition::kRun);
   const Scheduler::Stats s = sched.stats();
-  EXPECT_EQ(s.batch_fallbacks, 1u);
-  // Both batches ran: the plug alone, then the replayed one.
+  // Two dequeues: the plug alone, then the three queued behind it.
   EXPECT_EQ(s.batches, 2u);
   EXPECT_EQ(s.completed, 4u);
 }
